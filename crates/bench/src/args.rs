@@ -17,10 +17,10 @@ pub struct CommonArgs {
     pub parallel_ev: bool,
     /// Verify scripts (SV) in parallel on the EBV node.
     pub parallel_sv: bool,
-    /// Worker-thread override for the parallel phases (`None` = all cores).
+    /// Thread cap for the parallel phases (`None` = all cores).
     pub workers: Option<usize>,
-    /// Settle SV's ECDSA checks through batched verification on both
-    /// nodes.
+    /// Run fig16's Fig. 16d table, which compares strict and batched SV
+    /// settlement. Every node otherwise runs its default SV path.
     pub batch_verify: bool,
     /// Worker counts to sweep (figures that support it; fig16 re-runs its
     /// comparison once per count).
@@ -191,7 +191,6 @@ impl CommonArgs {
             parallel_ev: self.parallel_ev,
             parallel_sv: self.parallel_sv,
             workers: self.workers,
-            batch_verify: self.batch_verify,
             ..EbvConfig::default()
         }
     }

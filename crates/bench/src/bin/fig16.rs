@@ -142,95 +142,95 @@ fn main() {
     );
 
     // ---- Fig. 16d — batched vs individual ECDSA settlement -------------
-    // Each configuration boots a fresh node from the warmed snapshot and
-    // replays the same tail, so the only variable is the SV settlement
-    // strategy (and, when sweeping, the worker count).
-    println!("\n## Fig. 16d — batched vs individual ECDSA settlement over the tail");
-    let replay_tail = |batch: bool, workers: Option<usize>| -> Vec<(Duration, Duration)> {
-        let config = EbvConfig {
-            batch_verify: batch,
-            workers,
-            parallel_ev: args.parallel_ev,
-            parallel_sv: args.parallel_sv,
-            // Node-lifetime pubkey cache on both arms: the 128-key pool
-            // re-signs every block, so per-block caches spend most of SV
-            // rebuilding odd-multiple tables, drowning the settlement
-            // difference this figure isolates.
-            persistent_pubkey_cache: true,
-            ..EbvConfig::default()
-        };
-        let mut node = EbvNode::from_snapshot(&snapshot, snap_headers.clone(), config)
-            .expect("snapshot boots");
-        scenario.ebv_blocks[split..]
-            .iter()
-            .map(|block| {
-                let b = node.process_block(block).expect("tail validates");
-                (b.sv, b.total())
-            })
-            .collect::<Vec<_>>()
-    };
-    // Interleave the two arms and keep each arm's per-block minima: CPU
-    // steal on a shared single-core host spikes on sub-second timescales,
-    // so back-to-back arm runs measure the drift, not the settlement
-    // strategy. The per-block minimum over interleaved repetitions is the
-    // standard noise-floor estimator for a deterministic workload.
-    const TAIL_REPS: usize = 5;
-    let run_pair = |workers: Option<usize>| -> ((Duration, Duration), (Duration, Duration)) {
-        let floor = |acc: &mut Vec<(Duration, Duration)>, rep: Vec<(Duration, Duration)>| {
-            if acc.is_empty() {
-                *acc = rep;
-            } else {
-                for (a, r) in acc.iter_mut().zip(rep) {
-                    a.0 = a.0.min(r.0);
-                    a.1 = a.1.min(r.1);
-                }
-            }
-        };
-        let sum = |acc: &[(Duration, Duration)]| -> (Duration, Duration) {
-            acc.iter()
-                .fold((Duration::ZERO, Duration::ZERO), |(sv, total), b| {
-                    (sv + b.0, total + b.1)
-                })
-        };
-        let mut off = Vec::new();
-        let mut on = Vec::new();
-        for _ in 0..TAIL_REPS {
-            floor(&mut off, replay_tail(false, workers));
-            floor(&mut on, replay_tail(true, workers));
-        }
-        (sum(&off), sum(&on))
-    };
-    let mut worker_settings: Vec<Option<usize>> = vec![args.workers];
-    if let Some(sweep) = &args.sweep_workers {
-        worker_settings.extend(sweep.iter().map(|&w| Some(w)));
-    }
-    let cols = [
-        ("workers", 8),
-        ("indiv_sv_ms", 12),
-        ("batch_sv_ms", 12),
-        ("sv_speedup", 11),
-        ("indiv_tot_ms", 13),
-        ("batch_tot_ms", 13),
-    ];
-    table::header(&cols);
+    // Selected by `--batch-verify`. Both arms set `batch_verify`
+    // explicitly: `false` is the strict per-input oracle, `true` the node
+    // default.
     let mut batch_rows = Vec::new();
-    for &workers in &worker_settings {
-        let ((off_sv, off_total), (on_sv, on_total)) = run_pair(workers);
-        let speedup = off_sv.as_secs_f64() / on_sv.as_secs_f64().max(1e-12);
-        table::row(&[
-            (workers.map_or("default".to_string(), |w| w.to_string()), 8),
-            (table::ms(off_sv), 12),
-            (table::ms(on_sv), 12),
-            (format!("{speedup:.2}x"), 11),
-            (table::ms(off_total), 13),
-            (table::ms(on_total), 13),
-        ]);
-        batch_rows.push((workers, off_sv, on_sv, speedup, off_total, on_total));
+    if args.batch_verify {
+        // Each configuration boots a fresh node from the warmed snapshot and
+        // replays the same tail, so the only variable is the SV settlement
+        // strategy (and, when sweeping, the worker count).
+        println!("\n## Fig. 16d — batched vs individual ECDSA settlement over the tail");
+        let replay_tail = |batch: bool, workers: Option<usize>| -> Vec<(Duration, Duration)> {
+            let config = EbvConfig {
+                batch_verify: batch,
+                workers,
+                parallel_ev: args.parallel_ev,
+                parallel_sv: args.parallel_sv,
+                ..EbvConfig::default()
+            };
+            let mut node = EbvNode::from_snapshot(&snapshot, snap_headers.clone(), config)
+                .expect("snapshot boots");
+            scenario.ebv_blocks[split..]
+                .iter()
+                .map(|block| {
+                    let b = node.process_block(block).expect("tail validates");
+                    (b.sv, b.total())
+                })
+                .collect::<Vec<_>>()
+        };
+        // Interleave the two arms and keep each arm's per-block minima: CPU
+        // steal on a shared single-core host spikes on sub-second timescales,
+        // so back-to-back arm runs measure the drift, not the settlement
+        // strategy. The per-block minimum over interleaved repetitions is the
+        // standard noise-floor estimator for a deterministic workload.
+        const TAIL_REPS: usize = 5;
+        let run_pair = |workers: Option<usize>| -> ((Duration, Duration), (Duration, Duration)) {
+            let floor = |acc: &mut Vec<(Duration, Duration)>, rep: Vec<(Duration, Duration)>| {
+                if acc.is_empty() {
+                    *acc = rep;
+                } else {
+                    for (a, r) in acc.iter_mut().zip(rep) {
+                        a.0 = a.0.min(r.0);
+                        a.1 = a.1.min(r.1);
+                    }
+                }
+            };
+            let sum = |acc: &[(Duration, Duration)]| -> (Duration, Duration) {
+                acc.iter()
+                    .fold((Duration::ZERO, Duration::ZERO), |(sv, total), b| {
+                        (sv + b.0, total + b.1)
+                    })
+            };
+            let mut off = Vec::new();
+            let mut on = Vec::new();
+            for _ in 0..TAIL_REPS {
+                floor(&mut off, replay_tail(false, workers));
+                floor(&mut on, replay_tail(true, workers));
+            }
+            (sum(&off), sum(&on))
+        };
+        let mut worker_settings: Vec<Option<usize>> = vec![args.workers];
+        if let Some(sweep) = &args.sweep_workers {
+            worker_settings.extend(sweep.iter().map(|&w| Some(w)));
+        }
+        let cols = [
+            ("workers", 8),
+            ("indiv_sv_ms", 12),
+            ("batch_sv_ms", 12),
+            ("sv_speedup", 11),
+            ("indiv_tot_ms", 13),
+            ("batch_tot_ms", 13),
+        ];
+        table::header(&cols);
+        for &workers in &worker_settings {
+            let ((off_sv, off_total), (on_sv, on_total)) = run_pair(workers);
+            let speedup = off_sv.as_secs_f64() / on_sv.as_secs_f64().max(1e-12);
+            table::row(&[
+                (workers.map_or("default".to_string(), |w| w.to_string()), 8),
+                (table::ms(off_sv), 12),
+                (table::ms(on_sv), 12),
+                (format!("{speedup:.2}x"), 11),
+                (table::ms(off_total), 13),
+                (table::ms(on_total), 13),
+            ]);
+            batch_rows.push((workers, off_sv, on_sv, speedup, off_total, on_total));
+        }
+        println!(
+            "\nbatch settlement certifies a whole chunk's signatures with one shared \
+             multi-scalar ladder; verdicts are identical either way"
+        );
     }
-    println!(
-        "\nbatch settlement certifies a whole chunk's signatures with one shared \
-         multi-scalar ladder; verdicts are identical either way"
-    );
 
     if let Some(path) = &args.json {
         // Machine-readable SV record: per-block phase times in nanoseconds
@@ -288,14 +288,19 @@ fn main() {
         }
         // The first row is always the default-workers configuration: the
         // acceptance gate for the batched path reads this field.
-        let default_speedup = batch_rows[0].3;
+        let batch_fields = match batch_rows.first() {
+            Some(row) => format!(
+                "\"batch\": [{batch_json}\n  ],\n  \
+                 \"batch_sv_speedup_default_workers\": {:.3},\n  ",
+                row.3
+            ),
+            None => String::new(),
+        };
         let telemetry = ebv_telemetry::json_snapshot(&ebv_telemetry::global().snapshot());
         let json = format!(
             "{{\n  \"figure\": \"fig16\",\n  \"seed\": {},\n  \"blocks\": [{blocks}\n  ],\n  \
              \"sv_ns_total\": {sv_ns_total},\n  \"inputs_total\": {inputs_total},\n  \
-             \"verifies_per_sec\": {verifies_per_sec:.1},\n  \
-             \"batch\": [{batch_json}\n  ],\n  \
-             \"batch_sv_speedup_default_workers\": {default_speedup:.3},\n  \
+             \"verifies_per_sec\": {verifies_per_sec:.1},\n  {batch_fields}\
              \"telemetry\": {telemetry}\n}}\n",
             args.seed
         );

@@ -46,10 +46,7 @@ impl Scenario {
         BaselineNode::new(
             &self.blocks[0],
             UtxoSet::new(store),
-            BaselineConfig {
-                batch_verify: args.batch_verify,
-                ..BaselineConfig::default()
-            },
+            BaselineConfig::default(),
         )
         .expect("genesis applies")
     }

@@ -6,14 +6,14 @@
 //! attaches to each input; folding it from a leaf reproduces the root
 //! (Existence Validation).
 //!
-//! Tree construction is data-parallel with rayon above a size threshold;
-//! per the paper's model the miner builds the tree once per block while
-//! every validator folds 10-ish-hash branches, so build cost matters for
-//! the workload generator and intermediary.
+//! Tree construction is data-parallel (`ebv_primitives::par`) above a size
+//! threshold; per the paper's model the miner builds the tree once per
+//! block while every validator folds 10-ish-hash branches, so build cost
+//! matters for the workload generator and intermediary.
 
 use ebv_primitives::encode::{Decodable, DecodeError, Encodable, Reader};
 use ebv_primitives::hash::Hash256;
-use rayon::prelude::*;
+use ebv_primitives::par;
 
 /// Below this leaf count a sequential build is faster than forking.
 const PAR_THRESHOLD: usize = 256;
@@ -41,7 +41,7 @@ fn next_level(level: &[Hash256]) -> Vec<Hash256> {
     };
     let n = level.len().div_ceil(2);
     if level.len() >= PAR_THRESHOLD {
-        (0..n).into_par_iter().map(pair).collect()
+        par::map(n, par::fan_out(None), pair)
     } else {
         (0..n).map(pair).collect()
     }

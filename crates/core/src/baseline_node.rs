@@ -7,14 +7,14 @@
 //! outgrows the cache budget.
 
 use crate::metrics::BaselineBreakdown;
-use crate::sighash::{sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
+use crate::sighash::{sv_chunk_batched, sv_chunk_len, DigestChecker, PubkeyCache, SvJob};
 use ebv_chain::transaction::SpendSighashMidstate;
 use ebv_chain::{Block, BlockHeader, BlockStructureError, OutPoint, BLOCK_SUBSIDY};
 use ebv_primitives::hash::Hash256;
+use ebv_primitives::par;
 use ebv_script::{verify_spend, Script, ScriptError};
 use ebv_store::{UtxoEntry, UtxoError, UtxoSet};
 use ebv_telemetry::{counter, histogram, span, trace_event};
-use rayon::prelude::*;
 
 /// Why a baseline block was rejected.
 #[derive(Debug)]
@@ -67,10 +67,11 @@ pub struct BaselineConfig {
     pub parallel_sv: bool,
     /// Check header PoW.
     pub check_pow: bool,
-    /// Settle SV's ECDSA checks through batched verification (same
-    /// machinery as the EBV node; see
-    /// [`crate::sighash::sv_chunk_batched`]). Results and the reported
-    /// minimum-`(tx, input)` error are identical with the flag on or off.
+    /// Settle SV's ECDSA checks through batched verification, the default
+    /// (same machinery and chunking as the EBV node; see
+    /// [`crate::EbvConfig::batch_verify`]). `false` selects the per-input
+    /// strict oracle. Results and the reported minimum-`(tx, input)` error
+    /// are identical either way.
     pub batch_verify: bool,
 }
 
@@ -79,7 +80,7 @@ impl Default for BaselineConfig {
         BaselineConfig {
             parallel_sv: true,
             check_pow: true,
-            batch_verify: false,
+            batch_verify: true,
         }
     }
 }
@@ -100,6 +101,9 @@ pub struct BaselineNode {
     utxos: UtxoSet,
     config: BaselineConfig,
     undo_stack: Vec<BaselineUndo>,
+    /// Prepared signer keys, kept for the node's lifetime (size-bounded;
+    /// see [`PubkeyCache`]).
+    pubkey_cache: PubkeyCache,
     cumulative: BaselineBreakdown,
 }
 
@@ -115,6 +119,7 @@ impl BaselineNode {
             utxos,
             config,
             undo_stack: Vec::new(),
+            pubkey_cache: PubkeyCache::new(),
             cumulative: BaselineBreakdown::default(),
         };
         node.insert_outputs(genesis, 0)?;
@@ -266,16 +271,16 @@ impl BaselineNode {
                 })
             })
             .collect();
-        // One pubkey cache per block: inputs signed by the same key share a
-        // single parse + odd-multiples table across all SV workers.
-        let pubkey_cache = PubkeyCache::new();
+        // Inputs signed by the same key — in this block or any earlier one
+        // — share a single parse + odd-multiples table across SV workers.
+        let pubkey_cache = &self.pubkey_cache;
         let run_one =
             |&(i, j, us, lock, digest, lt): &(usize, usize, &Script, &Script, Hash256, u32)| {
                 let _input_span = span!("baseline.sv_input");
                 verify_spend(
                     us,
                     lock,
-                    &DigestChecker::with_context(digest, lt, &pubkey_cache),
+                    &DigestChecker::with_context(digest, lt, pubkey_cache),
                 )
                 .map_err(|err| BaselineError::SvFailed {
                     tx: i,
@@ -286,7 +291,7 @@ impl BaselineNode {
         // Batched path: same chunking and minimum-`(tx, input)` failure
         // selection as the EBV node (jobs are already in that order).
         type Job<'b> = (usize, usize, &'b Script, &'b Script, Hash256, u32);
-        let chunk_failure = |chunk: &[Job<'_>]| -> Option<BaselineError> {
+        let sv_chunk = |chunk: &[Job<'_>]| -> Result<(), BaselineError> {
             let sv_jobs: Vec<SvJob<'_>> = chunk
                 .iter()
                 .map(|&(_, _, us, lock, digest, lt)| SvJob {
@@ -296,39 +301,29 @@ impl BaselineNode {
                     locking: lock,
                 })
                 .collect();
-            sv_chunk_batched(&sv_jobs, &pubkey_cache)
+            sv_chunk_batched(&sv_jobs, pubkey_cache)
                 .into_iter()
                 .zip(chunk)
-                .find_map(|(result, &(i, j, ..))| {
-                    result.err().map(|err| BaselineError::SvFailed {
+                .try_for_each(|(result, &(i, j, ..))| {
+                    result.map_err(|err| BaselineError::SvFailed {
                         tx: i,
                         input: j,
                         err,
                     })
                 })
         };
-        let sv_coords = |e: &BaselineError| -> (usize, usize) {
-            match e {
-                BaselineError::SvFailed { tx, input, .. } => (*tx, *input),
-                _ => unreachable!("chunk_failure only yields SvFailed"),
-            }
+        let fan = if self.config.parallel_sv {
+            par::fan_out(None)
+        } else {
+            1
         };
-        let sv_result: Result<(), BaselineError> =
-            match (self.config.batch_verify, self.config.parallel_sv) {
-                (true, true) => jobs
-                    .as_slice()
-                    .par_chunks(SV_BATCH_MAX)
-                    .filter_map(chunk_failure)
-                    .min_by_key(sv_coords)
-                    .map_or(Ok(()), Err),
-                (true, false) => jobs
-                    .chunks(SV_BATCH_MAX)
-                    .find_map(chunk_failure)
-                    .map_or(Ok(()), Err),
-                (false, true) => jobs.par_iter().map(run_one).collect(),
-                (false, false) => jobs.iter().try_for_each(run_one),
-            };
-        sv_result?;
+        if self.config.batch_verify {
+            let size = sv_chunk_len(jobs.len(), fan);
+            let chunks: Vec<&[Job<'_>]> = jobs.chunks(size).collect();
+            par::try_map(chunks.len(), fan, |c| sv_chunk(chunks[c]))?;
+        } else {
+            par::try_map(jobs.len(), fan, |k| run_one(&jobs[k]))?;
+        }
         drop(span_sv);
 
         // ---- DBO: delete spent entries, insert new outputs --------------

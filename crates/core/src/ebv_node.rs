@@ -23,14 +23,14 @@
 
 use crate::bitvec::{BitVectorSet, BitVectorSetSize, UvError};
 use crate::metrics::EbvBreakdown;
-use crate::sighash::{sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
+use crate::sighash::{sv_chunk_batched, sv_chunk_len, DigestChecker, PubkeyCache, SvJob};
 use crate::tidy::{EbvBlock, EbvTransaction, InputProof, TxIntegrityError};
 use ebv_chain::transaction::SpendSighashMidstate;
 use ebv_chain::{BlockHeader, BLOCK_SUBSIDY};
 use ebv_primitives::hash::Hash256;
+use ebv_primitives::par;
 use ebv_script::{verify_spend, Script, ScriptError};
 use ebv_telemetry::{counter, gauge, histogram, span, trace_event};
-use rayon::prelude::*;
 
 /// Why an EBV block was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,25 +98,20 @@ pub struct EbvConfig {
     /// Verify scripts (SV) — and build the per-transaction sighash
     /// midstates and value sums feeding it — across inputs in parallel.
     pub parallel_sv: bool,
-    /// Worker-thread override for the parallel phases; `None` uses every
-    /// available core.
+    /// Cap on the threads one parallel phase fans out to (see
+    /// [`par::fan_out`]); `None` uses every core.
     pub workers: Option<usize>,
     /// Check the header PoW (disabled in some microbenches).
     pub check_pow: bool,
-    /// Keep one [`PubkeyCache`] for the node's lifetime instead of one per
-    /// block. A prepared key (point decompression + wNAF odd-multiples
-    /// table) depends only on the key bytes, so this is always sound; the
-    /// per-block default merely bounds memory for open-ended network
-    /// operation. Interval replay during snapshot-parallel IBD turns it on:
-    /// there the block range is finite and wallets reuse keys heavily.
-    pub persistent_pubkey_cache: bool,
-    /// Settle SV's ECDSA checks through block-wide batch verification
-    /// ([`crate::sighash::sv_chunk_batched`]): inputs are chunked, each
-    /// chunk's signatures are certified by one random-linear-combination
-    /// equation over a shared multi-scalar ladder, and any chunk the batch
-    /// cannot certify re-runs strictly. Accept/reject results and the
-    /// reported minimum-`(tx, input)` error are identical with the flag on
-    /// or off.
+    /// Settle SV's ECDSA checks through batch verification
+    /// ([`crate::sighash::sv_chunk_batched`]), the default: the input list
+    /// is split into one chunk per thread
+    /// ([`crate::sighash::sv_chunk_len`]), each chunk's signatures are certified by one
+    /// random-linear-combination equation, and any input the batch cannot
+    /// certify re-runs strictly. `false` selects the per-input strict path,
+    /// kept as the oracle the tests and Fig. 16d compare against.
+    /// Accept/reject results and the reported minimum-`(tx, input)` error
+    /// are identical either way.
     pub batch_verify: bool,
 }
 
@@ -127,8 +122,7 @@ impl Default for EbvConfig {
             parallel_sv: true,
             workers: None,
             check_pow: true,
-            persistent_pubkey_cache: false,
-            batch_verify: false,
+            batch_verify: true,
         }
     }
 }
@@ -141,18 +135,6 @@ impl EbvConfig {
             parallel_sv: false,
             ..EbvConfig::default()
         }
-    }
-}
-
-/// Run `op` with `workers` governing rayon's fan-out (`None` = default).
-fn with_workers<R>(workers: Option<usize>, op: impl FnOnce() -> R) -> R {
-    match workers {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("thread pool construction is infallible")
-            .install(op),
-        None => op(),
     }
 }
 
@@ -235,9 +217,9 @@ pub struct EbvNode {
     /// height for a snapshot boot. Blocks at or below it carry no undo
     /// records and cannot be disconnected.
     base_height: u32,
-    /// Node-lifetime pubkey cache (`persistent_pubkey_cache`); `None`
-    /// means SV builds a fresh per-block cache.
-    pubkey_cache: Option<PubkeyCache>,
+    /// Prepared signer keys, kept for the node's lifetime (size-bounded;
+    /// see [`PubkeyCache`]).
+    pubkey_cache: PubkeyCache,
     /// Cumulative validation-time breakdown across all processed blocks.
     cumulative: EbvBreakdown,
 }
@@ -251,7 +233,7 @@ impl EbvNode {
             config,
             undo_stack: Vec::new(),
             base_height: 0,
-            pubkey_cache: config.persistent_pubkey_cache.then(PubkeyCache::new),
+            pubkey_cache: PubkeyCache::new(),
             cumulative: EbvBreakdown::default(),
         };
         node.bitvecs.insert_block(0, genesis.output_count());
@@ -313,7 +295,7 @@ impl EbvNode {
             config,
             undo_stack: Vec::new(),
             base_height: snapshot.height(),
-            pubkey_cache: config.persistent_pubkey_cache.then(PubkeyCache::new),
+            pubkey_cache: PubkeyCache::new(),
             cumulative: EbvBreakdown::default(),
         })
     }
@@ -474,12 +456,12 @@ impl EbvNode {
             }
             Ok(())
         };
-        let ev_result: Result<(), EbvError> = if config.parallel_ev {
-            with_workers(config.workers, || jobs.par_iter().map(ev_one).collect())
+        let ev_fan = if config.parallel_ev {
+            par::fan_out(config.workers)
         } else {
-            jobs.iter().try_for_each(ev_one)
+            1
         };
-        ev_result?;
+        par::try_map(jobs.len(), ev_fan, |k| ev_one(&jobs[k]))?;
         drop(span_ev);
 
         // ---- UV: bit probes + intra-block duplicate detection ----------
@@ -516,43 +498,39 @@ impl EbvNode {
         // midstate is what lets SV below avoid re-serializing the outputs
         // (O(outputs) work) once per input.
         let span_val = span!("ebv.value_midstate", &mut breakdown.others);
-        let spending_txs: Vec<(usize, &EbvTransaction)> =
-            block.transactions.iter().enumerate().skip(1).collect();
-        let tx_one =
-            |&(i, tx): &(usize, &EbvTransaction)| -> Result<(SpendSighashMidstate, u64), EbvError> {
-                let in_value: u64 = tx
-                    .bodies
-                    .iter()
-                    .map(|b| {
-                        b.proof
-                            .as_ref()
-                            .expect("checked")
-                            .spent_output()
-                            .expect("checked")
-                            .value
-                    })
-                    .fold(0u64, u64::saturating_add);
-                let out_value = tx.tidy.total_output_value();
-                if in_value < out_value {
-                    return Err(EbvError::ValueImbalance { tx: i });
-                }
-                let coords = tx.spent_coords().expect("non-coinbase");
-                let midstate = SpendSighashMidstate::new(
-                    tx.tidy.version,
-                    &coords,
-                    &tx.tidy.outputs,
-                    tx.tidy.lock_time,
-                );
-                Ok((midstate, in_value - out_value))
-            };
-        let per_tx: Result<Vec<(SpendSighashMidstate, u64)>, EbvError> = if config.parallel_sv {
-            with_workers(config.workers, || {
-                spending_txs.par_iter().map(tx_one).collect()
-            })
+        let sv_fan = if config.parallel_sv {
+            par::fan_out(config.workers)
         } else {
-            spending_txs.iter().map(tx_one).collect()
+            1
         };
-        let per_tx = per_tx?;
+        let tx_one = |i: usize| -> Result<(SpendSighashMidstate, u64), EbvError> {
+            let tx = &block.transactions[i];
+            let in_value: u64 = tx
+                .bodies
+                .iter()
+                .map(|b| {
+                    b.proof
+                        .as_ref()
+                        .expect("checked")
+                        .spent_output()
+                        .expect("checked")
+                        .value
+                })
+                .fold(0u64, u64::saturating_add);
+            let out_value = tx.tidy.total_output_value();
+            if in_value < out_value {
+                return Err(EbvError::ValueImbalance { tx: i });
+            }
+            let coords = tx.spent_coords().expect("non-coinbase");
+            let midstate = SpendSighashMidstate::new(
+                tx.tidy.version,
+                &coords,
+                &tx.tidy.outputs,
+                tx.tidy.lock_time,
+            );
+            Ok((midstate, in_value - out_value))
+        };
+        let per_tx = par::try_map(block.transactions.len() - 1, sv_fan, |k| tx_one(k + 1))?;
         let total_fees = per_tx
             .iter()
             .fold(0u64, |acc, (_, fee)| acc.saturating_add(*fee));
@@ -564,17 +542,9 @@ impl EbvNode {
 
         // ---- SV: scripts, parallel across inputs ------------------------
         let span_sv = span!("ebv.sv", &mut breakdown.sv);
-        // One pubkey cache per block (or per node, under
-        // `persistent_pubkey_cache`): inputs signed by the same key share a
-        // single parse + odd-multiples table across all SV workers.
-        let block_cache;
-        let pubkey_cache = match &self.pubkey_cache {
-            Some(cache) => cache,
-            None => {
-                block_cache = PubkeyCache::new();
-                &block_cache
-            }
-        };
+        // Inputs signed by the same key — in this block or any earlier one
+        // — share a single parse + odd-multiples table across SV workers.
+        let pubkey_cache = &self.pubkey_cache;
         let sv_one = |job: &InputJob<'_>| -> Result<(), EbvError> {
             let _input_span = span!("ebv.sv_input");
             // Spending transactions start at index 1; midstates are stored
@@ -593,11 +563,9 @@ impl EbvNode {
                 err,
             })
         };
-        // Batched path: chunk the job list, settle each chunk's ECDSA
-        // through one batch equation, and report the chunk's first failure.
-        // Jobs are in `(tx, input)` order, so the minimum failure across
-        // chunks is the same error the sequential strict path reports.
-        let chunk_failure = |chunk: &[InputJob<'_>]| -> Option<EbvError> {
+        // Batched path: settle a chunk's ECDSA through one batch equation
+        // and report the chunk's first failure.
+        let sv_chunk = |chunk: &[InputJob<'_>]| -> Result<(), EbvError> {
             let sv_jobs: Vec<SvJob<'_>> = chunk
                 .iter()
                 .map(|job| SvJob {
@@ -610,38 +578,24 @@ impl EbvNode {
             sv_chunk_batched(&sv_jobs, pubkey_cache)
                 .into_iter()
                 .zip(chunk)
-                .find_map(|(result, job)| {
-                    result.err().map(|err| EbvError::SvFailed {
+                .try_for_each(|(result, job)| {
+                    result.map_err(|err| EbvError::SvFailed {
                         tx: job.tx,
                         input: job.input,
                         err,
                     })
                 })
         };
-        let sv_coords = |e: &EbvError| -> (usize, usize) {
-            match e {
-                EbvError::SvFailed { tx, input, .. } => (*tx, *input),
-                _ => unreachable!("chunk_failure only yields SvFailed"),
-            }
-        };
-        let sv_result: Result<(), EbvError> = match (config.batch_verify, config.parallel_sv) {
-            (true, true) => with_workers(config.workers, || {
-                jobs.as_slice()
-                    .par_chunks(SV_BATCH_MAX)
-                    .filter_map(chunk_failure)
-                    .min_by_key(sv_coords)
-                    .map_or(Ok(()), Err)
-            }),
-            // Sequentially, the first failing chunk holds the global
-            // minimum because chunks partition the ordered job list.
-            (true, false) => jobs
-                .chunks(SV_BATCH_MAX)
-                .find_map(chunk_failure)
-                .map_or(Ok(()), Err),
-            (false, true) => with_workers(config.workers, || jobs.par_iter().map(sv_one).collect()),
-            (false, false) => jobs.iter().try_for_each(sv_one),
-        };
-        sv_result?;
+        if config.batch_verify {
+            // Chunks partition the `(tx, input)`-ordered job list, so the
+            // lowest failing chunk holds the minimum failing coordinate —
+            // the error the strict sequential path reports.
+            let size = sv_chunk_len(jobs.len(), sv_fan);
+            let chunks: Vec<&[InputJob<'_>]> = jobs.chunks(size).collect();
+            par::try_map(chunks.len(), sv_fan, |c| sv_chunk(chunks[c]))?;
+        } else {
+            par::try_map(jobs.len(), sv_fan, |k| sv_one(&jobs[k]))?;
+        }
         drop(span_sv);
 
         // ---- commit: store header, new vector, apply spends -------------

@@ -16,9 +16,8 @@ use crate::sync::{sync_multi, PeerHandle, SyncConfig, SyncError, SyncReport, Val
 use crate::tidy::EbvBlock;
 use ebv_chain::Block;
 use ebv_primitives::encode::Encodable;
+use ebv_primitives::par;
 use ebv_telemetry::{counter, histogram, trace_event, Stopwatch};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A failed IBD run with everything measured before the failure.
@@ -327,11 +326,11 @@ impl std::fmt::Display for ParallelIbdError {
 impl std::error::Error for ParallelIbdError {}
 
 /// Replay `blocks` (heights `1..`) out of order: `checkpoints` split the
-/// chain into contiguous intervals, `workers` threads each boot an
-/// [`EbvNode`] from their interval's starting snapshot and replay to the
-/// interval end, and the stitcher walks the intervals in order asserting
-/// each one's final state is **byte-identical** to its successor's
-/// starting snapshot.
+/// chain into contiguous intervals, up to `workers` threads (capped at the
+/// core count by [`par`]) each boot an [`EbvNode`] from their interval's
+/// starting snapshot and replay to the interval end, and the stitcher
+/// walks the intervals in order asserting each one's final state is
+/// **byte-identical** to its successor's starting snapshot.
 ///
 /// Trust works by induction along that walk: interval 0 boots from the
 /// (trusted) genesis block, and once stitches `0..i` have all matched,
@@ -344,10 +343,9 @@ impl std::error::Error for ParallelIbdError {}
 /// correct node. Validation failures inside a verified interval are
 /// genuine and abort the run.
 ///
-/// Workers run with `persistent_pubkey_cache` on: interval replay is
-/// finite, and reusing prepared keys across the interval's blocks is where
-/// the single-core speedup comes from (thread fan-out adds the rest on
-/// multicore hosts).
+/// Intervals are claimed from the shared [`par`] pool. A validator phase
+/// inside an interval calls [`par`] again; while every pool thread is busy
+/// with an interval it simply runs on its own interval's thread.
 pub fn parallel_ibd(
     genesis: &EbvBlock,
     blocks: &[EbvBlock],
@@ -391,11 +389,6 @@ pub fn parallel_ibd(
     headers.push(genesis.header);
     headers.extend(blocks.iter().map(|b| b.header));
 
-    let worker_config = EbvConfig {
-        persistent_pubkey_cache: true,
-        ..config
-    };
-
     type IntervalOutcome = Result<(EbvNode, IntervalStat), ParallelIbdError>;
     let run_interval = |i: usize| -> IntervalOutcome {
         let _interval_span = match parent_ctx {
@@ -406,10 +399,10 @@ pub fn parallel_ibd(
         };
         let wall = Stopwatch::start();
         let mut node = if i == 0 {
-            EbvNode::new(genesis, worker_config)
+            EbvNode::new(genesis, config)
         } else {
             let cp = &checkpoints[i - 1];
-            EbvNode::from_snapshot(cp, headers[..=cp.height() as usize].to_vec(), worker_config)
+            EbvNode::from_snapshot(cp, headers[..=cp.height() as usize].to_vec(), config)
                 .map_err(|error| ParallelIbdError::Snapshot { interval: i, error })?
         };
         for block in &blocks[bounds[i] as usize..bounds[i + 1] as usize] {
@@ -433,41 +426,14 @@ pub fn parallel_ibd(
         Ok((node, stat))
     };
 
-    // Fan the intervals out: an atomic claim counter over scoped threads.
-    // Slots are per-interval mutexes so completion order doesn't matter.
-    let slots: Vec<Mutex<Option<IntervalOutcome>>> =
-        (0..n_intervals).map(|_| Mutex::new(None)).collect();
-    let threads = workers.clamp(1, n_intervals);
-    if threads == 1 {
-        for (i, slot) in slots.iter().enumerate() {
-            *slot.lock().expect("unshared") = Some(run_interval(i));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_intervals {
-                        break;
-                    }
-                    let outcome = run_interval(i);
-                    *slots[i].lock().expect("one writer per slot") = Some(outcome);
-                });
-            }
-        });
-    }
+    let outcomes = par::map(n_intervals, workers, run_interval);
 
     // Stitch in interval order. When this loop reaches interval i, every
     // earlier stitch has matched, so interval i's boot state is verified.
     let mut intervals = Vec::with_capacity(n_intervals);
     let mut stitch_mismatch = None;
     let mut assembled: Option<EbvNode> = None;
-    for (i, slot) in slots.into_iter().enumerate() {
-        let outcome = slot
-            .into_inner()
-            .expect("scope joined all workers")
-            .expect("every interval was claimed");
+    for (i, outcome) in outcomes.into_iter().enumerate() {
         let (node, stat) = outcome?;
         intervals.push(stat);
         if i + 1 < n_intervals && node.snapshot().to_bytes() != checkpoints[i].to_bytes() {

@@ -33,20 +33,39 @@ pub const SIG_PUSH_LEN: usize = 65;
 /// per-batch fixed costs (transcript hashing, Montgomery inversions) well.
 pub const SV_BATCH_MAX: usize = 64;
 
+/// Inputs per batched-SV chunk for `jobs` inputs over `fan_out` threads:
+/// one chunk per thread, so a block's batch work spreads over every
+/// worker, and never more than [`SV_BATCH_MAX`].
+pub fn sv_chunk_len(jobs: usize, fan_out: usize) -> usize {
+    jobs.div_ceil(fan_out).clamp(1, SV_BATCH_MAX)
+}
+
 /// Number of shards in [`PubkeyCache`]; must be a power of two.
 const PUBKEY_CACHE_SHARDS: usize = 16;
 
-/// Per-block cache of parsed-and-prepared public keys, keyed by the 33-byte
-/// SEC compressed encoding.
+/// Entries one [`PubkeyCache`] shard holds before it is cleared.
+const PUBKEY_SHARD_CAP: usize = 256;
+
+/// Most entries a [`PubkeyCache`] ever holds: 4,096.
+pub const PUBKEY_CACHE_CAP: usize = PUBKEY_CACHE_SHARDS * PUBKEY_SHARD_CAP;
+
+/// Node-lifetime cache of parsed-and-prepared public keys, keyed by the
+/// 33-byte SEC compressed encoding.
 ///
-/// Workloads reuse signer keys heavily across a block's inputs, so without
-/// a cache every input re-parses its pubkey (a field `sqrt` for `lift_x`)
-/// and rebuilds the odd-multiples table. `None` entries memoize parse
-/// *failures* so malformed keys are also rejected at HashMap speed on
+/// Wallets reuse signer keys heavily, within a block and across blocks, so
+/// without a cache every input re-parses its pubkey (a field `sqrt` for
+/// `lift_x`) and rebuilds the odd-multiples table. `None` entries memoize
+/// parse *failures* so malformed keys are also rejected at HashMap speed on
 /// repeat sightings.
 ///
+/// The cache is bounded at [`PUBKEY_CACHE_CAP`] entries, parse failures
+/// included, so keys from untrusted blocks cannot grow it without limit: a
+/// shard that reaches [`PUBKEY_SHARD_CAP`] entries is cleared before its
+/// next insert. A prepared key depends only on the key bytes, so what the
+/// cache holds never changes a verdict, only its cost.
+///
 /// The map is sharded [`PUBKEY_CACHE_SHARDS`] ways by an FNV-1a hash of the
-/// key bytes, each shard behind its own `RwLock`, so rayon verification
+/// key bytes, each shard behind its own `RwLock`, so parallel verification
 /// workers hitting distinct keys never serialize on one lock. Lock
 /// acquisition first tries the non-blocking path and counts a
 /// `cache.pubkey.shard_contention` event before falling back to the
@@ -117,11 +136,13 @@ impl PubkeyCache {
             }
             Err(TryLockError::Poisoned(e)) => panic!("cache lock poisoned: {e}"),
         };
-        map.entry(key).or_insert_with(|| prepared.clone());
-        map.get(&key).expect("just inserted").clone()
+        if map.len() >= PUBKEY_SHARD_CAP && !map.contains_key(&key) {
+            map.clear();
+        }
+        map.entry(key).or_insert(prepared).clone()
     }
 
-    /// Number of distinct pubkey encodings seen (tests/diagnostics).
+    /// Number of pubkey encodings held (tests/diagnostics).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -144,7 +165,7 @@ impl PubkeyCache {
 
 /// A [`SignatureChecker`] bound to one spend digest (and, for
 /// `OP_CHECKLOCKTIMEVERIFY`, the spending transaction's lock time),
-/// optionally sharing a per-block [`PubkeyCache`].
+/// optionally sharing a node's [`PubkeyCache`].
 pub struct DigestChecker<'a> {
     digest: [u8; 32],
     lock_time: u32,
@@ -170,7 +191,7 @@ impl<'a> DigestChecker<'a> {
         }
     }
 
-    /// Checker carrying lock time and a shared per-block pubkey cache.
+    /// Checker carrying lock time and a node's shared pubkey cache.
     pub fn with_context(
         digest: Hash256,
         lock_time: u32,
@@ -455,6 +476,46 @@ mod tests {
         // FNV-1a should touch well more than a couple of shards with 64
         // distinct keys (probability of ≤ 4 occupied is negligible).
         assert!(sizes.iter().filter(|&&s| s > 0).count() > 4);
+    }
+
+    #[test]
+    fn cache_stays_bounded_and_verdicts_match_uncached() {
+        let signer = PrivateKey::from_seed(7);
+        let signer_key = signer.public_key().to_compressed();
+        let digest = sha256d(b"bounded");
+        let sig = sign_input(&signer, &digest);
+        let cache = PubkeyCache::new();
+        let cached = DigestChecker::with_context(digest, 0, &cache);
+        let uncached = DigestChecker::new(digest);
+        let mut peak = 0;
+        for i in 0..10_000u64 {
+            // Even i: a real key. Odd i: an x-coordinate from a hash under
+            // an even/odd or invalid prefix — about half of these fail to
+            // decode, the rest are valid but foreign keys.
+            let key: Vec<u8> = if i % 2 == 0 {
+                PrivateKey::from_seed(1_000 + i)
+                    .public_key()
+                    .to_compressed()
+                    .to_vec()
+            } else {
+                let mut k = vec![[0x02, 0x03, 0x05][(i / 2 % 3) as usize]];
+                k.extend_from_slice(sha256d(&i.to_le_bytes()).as_bytes());
+                k
+            };
+            assert_eq!(
+                cached.check_sig(&sig, &key),
+                uncached.check_sig(&sig, &key),
+                "key {i}"
+            );
+            peak = peak.max(cache.len());
+            assert!(peak <= PUBKEY_CACHE_CAP, "key {i}: {peak} entries");
+            // The signer's key keeps verifying through evictions.
+            if i % 1_000 == 0 {
+                assert!(cached.check_sig(&sig, &signer_key), "key {i}");
+            }
+        }
+        // The bound was reached, not merely respected.
+        assert!(peak > PUBKEY_CACHE_CAP * 3 / 4, "peak {peak}");
     }
 
     #[test]

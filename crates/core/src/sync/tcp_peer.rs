@@ -48,7 +48,8 @@ pub struct WireConfig {
     /// Per-write socket budget.
     pub io_timeout: Duration,
     /// How often the serving side wakes from an idle read to check for
-    /// shutdown (and the deadline granularity of its request reads).
+    /// shutdown. It bounds the wait for a request's first byte only; a
+    /// started request frame gets `io_timeout`.
     pub idle_step: Duration,
     /// Consecutive failed dials before the peer reports itself closed.
     pub max_dial_attempts: u32,
@@ -137,6 +138,26 @@ impl FramedStream {
     /// * EOF/reset while bytes are owed → [`WireError::TruncatedFrame`];
     /// * every header/checksum/payload violation → its [`WireError`].
     pub(crate) fn recv(&mut self, deadline: Instant) -> Result<Recv, WireError> {
+        self.recv_frame(deadline, None)
+    }
+
+    /// The serving side's request poll: wait up to `idle` for the next
+    /// frame to start; once its first byte arrives, the rest of the frame
+    /// gets `io_timeout`. A request whose header lands at the very end of
+    /// the idle window is therefore read whole, not cut off as a slow read.
+    /// Otherwise as [`FramedStream::recv`].
+    pub(crate) fn recv_request(&mut self, idle: Duration) -> Result<Recv, WireError> {
+        self.recv_frame(Instant::now() + idle, Some(self.cfg.io_timeout))
+    }
+
+    /// Receive one frame whose first byte must arrive by `deadline`. With
+    /// `frame_budget`, the deadline for the rest of the frame restarts at
+    /// that first byte; without it, the whole frame is due by `deadline`.
+    fn recv_frame(
+        &mut self,
+        mut deadline: Instant,
+        frame_budget: Option<Duration>,
+    ) -> Result<Recv, WireError> {
         let mut hdr = [0u8; FRAME_HEADER_LEN];
         let mut filled = 0usize;
         let mut clock: Option<Stopwatch> = None;
@@ -145,6 +166,9 @@ impl FramedStream {
                 ReadStep::Bytes(n) => {
                     if clock.is_none() {
                         clock = Some(Stopwatch::start());
+                        if let Some(budget) = frame_budget {
+                            deadline = Instant::now() + budget;
+                        }
                     }
                     filled += n;
                 }
@@ -545,7 +569,7 @@ fn serve_conn<S: BlockSource>(
             fs.bye();
             return;
         }
-        match fs.recv(Instant::now() + cfg.idle_step) {
+        match fs.recv_request(cfg.idle_step) {
             Ok(Recv::Idle) => continue,
             Ok(Recv::Msg(WireMessage::GetBlocks {
                 id,
@@ -590,4 +614,44 @@ pub(crate) fn fit_frame(blocks: Vec<Vec<u8>>, max_frame: u32) -> Vec<Vec<u8>> {
     let mut blocks = blocks;
     blocks.truncate(keep);
     blocks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A request whose header arrives inside one idle window and whose
+    /// payload arrives after that window has closed must still be served:
+    /// the started frame has `io_timeout`, not the rest of the idle step.
+    #[test]
+    fn request_straddling_the_idle_window_is_served() {
+        let cfg = WireConfig::default();
+        assert!(3 * cfg.idle_step < cfg.io_timeout);
+        let chain = vec![ebv_chain::genesis_block()];
+        let network = chain[0].header.hash();
+        let server = serve_blocks(chain, network, cfg).expect("bind server");
+        let stream = TcpStream::connect(server.addr()).expect("dial server");
+        let mut fs = client_handshake(stream, network, cfg).expect("handshake");
+        let frame = encode_frame(&WireMessage::GetBlocks {
+            id: 7,
+            start_height: 0,
+            count: 1,
+        });
+        // Whenever the server's current idle window opened, it has closed
+        // before the payload follows the header.
+        fs.stream_mut()
+            .write_all(&frame[..FRAME_HEADER_LEN])
+            .expect("write header");
+        thread::sleep(3 * cfg.idle_step);
+        fs.stream_mut()
+            .write_all(&frame[FRAME_HEADER_LEN..])
+            .expect("write payload");
+        match fs.recv(Instant::now() + cfg.handshake_timeout) {
+            Ok(Recv::Msg(WireMessage::Blocks { id: 7, blocks })) => assert_eq!(blocks.len(), 1),
+            Ok(Recv::Msg(other)) => panic!("expected Blocks, got {}", other.name()),
+            Ok(Recv::Idle) => panic!("no reply"),
+            Err(e) => panic!("server reset the connection: {}", e.slug()),
+        }
+        server.shutdown();
+    }
 }

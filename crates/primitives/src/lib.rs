@@ -16,6 +16,8 @@
 //!   transactions, blocks, proofs and status data. Serialized sizes feed the
 //!   paper's memory-requirement experiments (Figs. 1 and 14).
 //! * [`hex`] — minimal hex encoding/decoding for display and test vectors.
+//! * [`par`] — the process-wide worker pool behind every data-parallel
+//!   validation phase, with lowest-index error selection as its contract.
 //! * [`base58`] — Base58Check address encoding (display-level sugar for
 //!   examples and tools).
 
@@ -24,6 +26,7 @@ pub mod ec;
 pub mod encode;
 pub mod hash;
 pub mod hex;
+pub mod par;
 pub mod u256;
 
 pub use ec::{PrivateKey, PublicKey, Signature};

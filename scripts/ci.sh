@@ -132,6 +132,13 @@ echo "==> fig16 batch-verify smoke"
 ./target/release/fig16 --blocks 120 --batch-verify \
     --json target/BENCH_fig16_smoke.json > /dev/null
 
+# The repository benchmark's own output checks: every workload's pass
+# checks (including the sync-tcp-ebv pass over a real localhost socket)
+# and the BENCHMARK.json / program agreement test. perfbench is a package
+# of its own, so it needs its manifest path.
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (benchmark checks)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Telemetry guards. The overhead test proves instrumentation is cheap
 # enough to leave on; the exporter tests pin the Prometheus/JSON formats
 # to their golden files.

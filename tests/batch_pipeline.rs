@@ -2,6 +2,8 @@
 //! `batch_verify` on and off, both validators must return the identical
 //! accept/reject decision and the identical error — including the
 //! minimum-`(tx, input)` selection — on every block of a tampered chain.
+//! Batching is the node default; the strict per-input path, parallel and
+//! sequential, is the oracle every batched arm is held to.
 
 use ebv_core::tidy::{EbvBlock, InputBody};
 use ebv_core::{BaselineConfig, BaselineNode, EbvConfig, EbvNode, Intermediary};
@@ -63,7 +65,20 @@ fn tamper_baseline_signature(
 #[test]
 fn ebv_batch_and_strict_report_identical_errors() {
     let (_, chain) = build_chains(GeneratorParams::tiny(400, 0xba7c));
-    let mut strict = EbvNode::new(&chain[0], EbvConfig::default());
+    let mut strict = EbvNode::new(
+        &chain[0],
+        EbvConfig {
+            batch_verify: false,
+            ..EbvConfig::default()
+        },
+    );
+    let mut strict_seq = EbvNode::new(
+        &chain[0],
+        EbvConfig {
+            batch_verify: false,
+            ..EbvConfig::sequential()
+        },
+    );
     let mut batch = EbvNode::new(
         &chain[0],
         EbvConfig {
@@ -82,7 +97,7 @@ fn ebv_batch_and_strict_report_identical_errors() {
     for (h, block) in chain.iter().enumerate().skip(1) {
         // Every 5th block: tamper a signature (possibly several, to
         // exercise minimum-(tx, input) selection) and demand the same
-        // rejection from all three configurations.
+        // rejection from all four configurations.
         if h % 5 == 0
             && block.transactions.len() > 1
             && block.transactions[1].bodies[0].proof.is_some()
@@ -97,18 +112,29 @@ fn ebv_batch_and_strict_report_identical_errors() {
             let e_strict = strict.process_block(&bad).expect_err("tampered sig");
             let e_batch = batch.process_block(&bad).expect_err("tampered sig");
             let e_seq = batch_seq.process_block(&bad).expect_err("tampered sig");
+            let e_strict_seq = strict_seq.process_block(&bad).expect_err("tampered sig");
             assert_eq!(e_strict, e_batch, "height {h}: strict vs batch error");
             assert_eq!(e_strict, e_seq, "height {h}: strict vs batch-seq error");
+            assert_eq!(
+                e_strict, e_strict_seq,
+                "height {h}: strict vs strict-seq error"
+            );
         }
         let r_strict = strict.process_block(block);
         let r_batch = batch.process_block(block);
         let r_seq = batch_seq.process_block(block);
+        let r_strict_seq = strict_seq.process_block(block);
         assert_eq!(
             r_strict.as_ref().err(),
             r_batch.as_ref().err(),
             "height {h}"
         );
         assert_eq!(r_strict.as_ref().err(), r_seq.as_ref().err(), "height {h}");
+        assert_eq!(
+            r_strict.as_ref().err(),
+            r_strict_seq.as_ref().err(),
+            "height {h}"
+        );
         assert!(r_strict.is_ok(), "height {h}: generated block validates");
     }
 
@@ -116,6 +142,7 @@ fn ebv_batch_and_strict_report_identical_errors() {
     assert_eq!(strict.tip_hash(), batch.tip_hash());
     assert_eq!(strict.state_digest(), batch.state_digest());
     assert_eq!(strict.state_digest(), batch_seq.state_digest());
+    assert_eq!(strict.state_digest(), strict_seq.state_digest());
 }
 
 #[test]
@@ -131,8 +158,25 @@ fn baseline_batch_and_strict_agree() {
             .expect("temp store opens"),
         )
     };
-    let mut strict =
-        BaselineNode::new(&blocks[0], fresh(), BaselineConfig::default()).expect("genesis");
+    let mut strict = BaselineNode::new(
+        &blocks[0],
+        fresh(),
+        BaselineConfig {
+            batch_verify: false,
+            ..BaselineConfig::default()
+        },
+    )
+    .expect("genesis");
+    let mut strict_seq = BaselineNode::new(
+        &blocks[0],
+        fresh(),
+        BaselineConfig {
+            batch_verify: false,
+            parallel_sv: false,
+            ..BaselineConfig::default()
+        },
+    )
+    .expect("genesis");
     let mut batch = BaselineNode::new(
         &blocks[0],
         fresh(),
@@ -148,6 +192,7 @@ fn baseline_batch_and_strict_agree() {
             let bad = tamper_baseline_signature(block, 1, 0);
             let e_strict = strict.process_block(&bad).expect_err("tampered sig");
             let e_batch = batch.process_block(&bad).expect_err("tampered sig");
+            let e_strict_seq = strict_seq.process_block(&bad).expect_err("tampered sig");
             // BaselineError wraps io::Error and so cannot derive PartialEq;
             // the Debug rendering carries the full (tx, input, err) triple.
             assert_eq!(
@@ -155,16 +200,28 @@ fn baseline_batch_and_strict_agree() {
                 format!("{e_batch:?}"),
                 "height {h}: baseline batch error"
             );
+            assert_eq!(
+                format!("{e_strict:?}"),
+                format!("{e_strict_seq:?}"),
+                "height {h}: baseline strict-seq error"
+            );
         }
         let r_strict = strict.process_block(block);
         let r_batch = batch.process_block(block);
+        let r_strict_seq = strict_seq.process_block(block);
         assert_eq!(
             r_strict.as_ref().err().map(|e| format!("{e:?}")),
             r_batch.as_ref().err().map(|e| format!("{e:?}")),
+            "height {h}"
+        );
+        assert_eq!(
+            r_strict.as_ref().err().map(|e| format!("{e:?}")),
+            r_strict_seq.as_ref().err().map(|e| format!("{e:?}")),
             "height {h}"
         );
         assert!(r_strict.is_ok(), "height {h}: generated block validates");
     }
     assert_eq!(strict.tip_height(), batch.tip_height());
     assert_eq!(strict.tip_hash(), batch.tip_hash());
+    assert_eq!(strict.tip_hash(), strict_seq.tip_hash());
 }
