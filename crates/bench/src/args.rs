@@ -195,11 +195,12 @@ impl CommonArgs {
         }
     }
 
-    /// Enable telemetry collection when `--metrics-out` or
-    /// `--timeseries-out` was given. Call at the top of a figure binary's
+    /// Enable telemetry collection when `--json`, `--metrics-out` or
+    /// `--timeseries-out` was given (fig16's and fig17's `--json` reports
+    /// embed a telemetry section). Call at the top of a figure binary's
     /// `main`, before validation starts.
     pub fn enable_telemetry(&self) {
-        if self.metrics_out.is_some() || self.timeseries_out.is_some() {
+        if self.json.is_some() || self.metrics_out.is_some() || self.timeseries_out.is_some() {
             ebv_telemetry::set_enabled(true);
         }
     }

@@ -1,8 +1,13 @@
 //! SHA-256, implemented from FIPS 180-4.
 //!
 //! An incremental [`Sha256`] hasher plus the one-shot helpers used across the
-//! workspace. The implementation is scalar and portable; the compression
-//! function processes one 64-byte block at a time.
+//! workspace. Every digest goes through one compression entry point,
+//! `compress`, which folds a run of whole 64-byte blocks into the state. On
+//! x86-64 CPUs with the SHA extensions it runs a SHA-NI kernel; the choice is
+//! made at run time by CPU detection and is not configurable. Everywhere else
+//! it runs `compress_portable`, the scalar FIPS 180-4 rounds, which is always
+//! compiled and is the oracle the differential tests compare the hardware
+//! kernel against. Both produce byte-identical digests.
 
 /// Initial hash values (first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes).
@@ -22,6 +27,10 @@ const K: [u32; 64] = [
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
+
+/// A compression kernel: folds every 64-byte block of its input, which is a
+/// whole number of blocks, into the state.
+type Kernel = fn(&mut [u32; 8], &[u8]);
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
@@ -53,6 +62,25 @@ impl Sha256 {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        self.absorb(data, compress)
+    }
+
+    /// Finish and produce the 32-byte digest.
+    pub fn finalize(self) -> [u8; 32] {
+        self.finish(compress)
+    }
+
+    /// One-shot digest of `data`.
+    pub fn digest(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finalize()
+    }
+
+    /// [`Sha256::update`] through `kernel`; the differential tests pin
+    /// the portable kernel with it.
+    #[inline(always)]
+    fn absorb(&mut self, data: &[u8], kernel: Kernel) -> &mut Self {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
@@ -65,95 +93,196 @@ impl Sha256 {
                 // Buffer still not full — all input consumed.
                 return self;
             }
-            let block = self.buf;
-            compress(&mut self.state, &block);
+            kernel(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            compress(
-                &mut self.state,
-                block.try_into().expect("chunk is 64 bytes"),
-            );
+        // Hand the kernel every whole block at once so a hardware kernel
+        // keeps the state in registers across the run.
+        let (blocks, rem) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
         }
-        let rem = chunks.remainder();
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
         self
     }
 
-    /// Finish and produce the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    /// [`Sha256::finalize`] through `kernel`.
+    #[inline(always)]
+    fn finish(mut self, kernel: Kernel) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length. When
+        // fewer than 9 bytes are free the padding spills into a second block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            kernel(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // The length bytes themselves must not be counted, but `update`
-        // already handled block flushing; write them directly.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        compress(&mut self.state, &block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        kernel(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// One-shot digest of `data`.
-    pub fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+/// The one compression entry point: the SHA-NI kernel when this CPU has it,
+/// otherwise [`compress_portable`].
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if x86::detected() {
+        // SAFETY: `detected` confirmed every extension the kernel's
+        // `target_feature` list enables.
+        return unsafe { x86::compress(state, blocks) };
+    }
+    compress_portable(state, blocks)
+}
+
+/// Scalar FIPS 180-4 compression: compiled on every target, the only kernel
+/// on CPUs without SHA extensions, and the oracle for the hardware kernel.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for i in 0..16 {
+            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for i in 0..16 {
-        w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
+/// The SHA-NI kernel (x86-64 SHA extensions).
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every extension [`compress`] is compiled for.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
     }
 
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
+    /// Compress every 64-byte block of `blocks` into `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SHA, SSE2, SSSE3 and SSE4.1, as [`detected`]
+    /// checks.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Reverses the bytes of each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // `sha256rnds2` keeps the working variables as two vectors, ABEF and
+        // CDGH (highest lane first); `state` loads as DCBA and HGFE.
+        // SAFETY: `state` is 8 `u32`s, so both unaligned 16-byte loads are in
+        // bounds.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
 
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+        // Message vector `i` from vectors `i - 4 .. i`.
+        let schedule = |w4: __m128i, w3: __m128i, w2: __m128i, w1: __m128i| {
+            let s = _mm_add_epi32(_mm_sha256msg1_epu32(w4, w3), _mm_alignr_epi8(w1, w2, 4));
+            _mm_sha256msg2_epu32(s, w1)
+        };
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Four rounds: message vector `w` plus round constants `4 * i..`.
+            let mut rounds = |w: __m128i, i: usize| {
+                // SAFETY: `K` has 64 words and `i < 16`, so the 16-byte load at
+                // word `4 * i` is in bounds.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * i).cast()) };
+                let wk = _mm_add_epi32(w, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            };
+            // SAFETY: `block` is 64 bytes, so the four 16-byte loads are in
+            // bounds.
+            let load = |j: usize| unsafe {
+                _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * j).cast()), bswap)
+            };
+            let [mut w0, mut w1, mut w2, mut w3] = [load(0), load(1), load(2), load(3)];
+            rounds(w0, 0);
+            rounds(w1, 1);
+            rounds(w2, 2);
+            rounds(w3, 3);
+            for i in [4, 8, 12] {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds(w0, i);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds(w1, i + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds(w2, i + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds(w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        // SAFETY: as for the loads above.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xf0));
+            _mm_storeu_si128(
+                state.as_mut_ptr().add(4).cast(),
+                _mm_alignr_epi8(dchg, feba, 8),
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -212,5 +341,115 @@ mod tests {
             h.update(std::slice::from_ref(b));
         }
         assert_eq!(h.finalize(), Sha256::digest(&data));
+    }
+
+    /// Differential tests: the dispatched (hardware, where present) kernel
+    /// against the portable oracle.
+    mod differential {
+        use super::super::*;
+        use crate::hex;
+        use rand::prelude::*;
+        use std::io::Write;
+
+        /// The hardware kernel, or `None` after reporting the skip. The
+        /// report goes straight to the process's stderr so the test
+        /// harness's output capture cannot swallow it.
+        fn hardware(test: &str) -> Option<Kernel> {
+            #[cfg(target_arch = "x86_64")]
+            if x86::detected() {
+                return Some(compress);
+            }
+            let _ = writeln!(
+                std::io::stderr(),
+                "{test}: skipped the hardware arm: this CPU has no SHA extensions"
+            );
+            None
+        }
+
+        fn digest_with(kernel: Kernel, data: &[u8], split: usize) -> [u8; 32] {
+            let mut h = Sha256::new();
+            h.absorb(&data[..split], kernel);
+            h.absorb(&data[split..], kernel);
+            h.finish(kernel)
+        }
+
+        #[test]
+        fn hardware_compress_matches_portable_on_random_blocks() {
+            let Some(hw) = hardware("hardware_compress_matches_portable_on_random_blocks") else {
+                return;
+            };
+            let mut rng = SmallRng::seed_from_u64(0x5a_256);
+            let mut blocks = [0u8; 64 * 4];
+            for case in 0..12_000 {
+                let mut state = [0u32; 8];
+                for word in &mut state {
+                    *word = rng.gen();
+                }
+                // Mostly single blocks; every fourth case a multi-block run.
+                let n = if case % 4 == 0 {
+                    rng.gen_range(2..=4)
+                } else {
+                    1
+                };
+                rng.fill_bytes(&mut blocks[..64 * n]);
+                let (mut want, mut got) = (state, state);
+                compress_portable(&mut want, &blocks[..64 * n]);
+                hw(&mut got, &blocks[..64 * n]);
+                assert_eq!(got, want, "case {case}: {n} block(s) from {state:08x?}");
+            }
+        }
+
+        #[test]
+        fn hasher_matches_portable_for_every_length_and_split() {
+            let Some(hw) = hardware("hasher_matches_portable_for_every_length_and_split") else {
+                return;
+            };
+            let data: Vec<u8> = (0..=255u8).rev().cycle().take(256).collect();
+            for len in 0..=256 {
+                let msg = &data[..len];
+                let want = digest_with(compress_portable, msg, 0);
+                for split in [0, 1, len / 3, len / 2, 55, 56, 63, 64, 65, len] {
+                    let split = split.min(len);
+                    assert_eq!(digest_with(hw, msg, split), want, "len {len} split {split}");
+                }
+            }
+        }
+
+        #[test]
+        fn known_answers_through_both_kernels() {
+            let million_a = vec![b'a'; 1_000_000];
+            let vectors: [(&[u8], &str); 4] = [
+                (
+                    b"",
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                ),
+                (
+                    b"abc",
+                    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                ),
+                (
+                    b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+                ),
+                (
+                    &million_a,
+                    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                ),
+            ];
+            let mut kernels: Vec<(&str, Kernel)> = vec![("portable", compress_portable)];
+            if let Some(hw) = hardware("known_answers_through_both_kernels") {
+                kernels.push(("hardware", hw));
+            }
+            for (name, kernel) in kernels {
+                for (msg, want) in vectors {
+                    assert_eq!(
+                        hex::encode(&digest_with(kernel, msg, msg.len() / 2)),
+                        want,
+                        "{name} kernel, {}-byte message",
+                        msg.len()
+                    );
+                }
+            }
+        }
     }
 }

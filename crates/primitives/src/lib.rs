@@ -4,9 +4,11 @@
 //! This crate is the lowest substrate of the workspace. It provides, with no
 //! external cryptography dependencies:
 //!
-//! * [`hash`] — SHA-256, double-SHA-256, HMAC-SHA256, RIPEMD-160 and the
-//!   Bitcoin-style `HASH160` composition, plus the fixed-width digest types
-//!   [`Hash256`] and [`Hash160`] used as transaction/block identifiers.
+//! * [`hash`] — SHA-256 (on the x86 SHA extensions when the CPU has them,
+//!   portable scalar code otherwise), double-SHA-256, HMAC-SHA256,
+//!   RIPEMD-160 and the Bitcoin-style `HASH160` composition, plus the
+//!   fixed-width digest types [`Hash256`] and [`Hash160`] used as
+//!   transaction/block identifiers.
 //! * [`ec`] — secp256k1 field/curve arithmetic and ECDSA signing and
 //!   verification with RFC 6979 deterministic nonces. Script Validation (SV)
 //!   cost in both the Bitcoin baseline and the EBV node is dominated by these

@@ -20,8 +20,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --release
+# The whole workspace: the fig16/fig17/syncbench/netsimbench/ebv-cli smokes
+# below run binaries from the member crates, which a root-package build
+# does not produce on a cold target/.
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q
@@ -113,6 +116,13 @@ echo "==> netsimbench smoke (eclipse + partition + propagation, 180s cap)"
 timeout 180 ./target/release/netsimbench --prop-nodes 200 --prop-runs 1 \
     --nodes 60 --seeds 4 \
     --json target/BENCH_netsim_smoke.json > /dev/null
+
+# SHA-256 runs a SHA-NI kernel where the CPU has one; it must agree with
+# the portable kernel on random blocks, on every message length and split,
+# and on the FIPS vectors. On a CPU without SHA-NI the hardware arm prints
+# that it was skipped.
+echo "==> cargo test -p ebv-primitives --lib hash::sha256 (SHA-256 kernel differential)"
+cargo test -q -p ebv-primitives --lib hash::sha256
 
 # Batch ECDSA verification must be a pure performance layer: the
 # crypto-level differential suite (edge scalars, mixed batches,
