@@ -12,7 +12,6 @@ use crate::baseline_node::{BaselineError, BaselineNode};
 use crate::bitvec::{BitVectorSet, BitVectorSnapshot, UvError};
 use crate::ebv_node::{EbvConfig, EbvError, EbvNode, SnapshotError};
 use crate::metrics::{BaselineBreakdown, EbvBreakdown};
-use crate::sync::{sync_multi, PeerHandle, SyncConfig, SyncError, SyncReport, ValidatingNode};
 use crate::tidy::EbvBlock;
 use ebv_chain::Block;
 use ebv_primitives::encode::Encodable;
@@ -170,38 +169,6 @@ pub fn ebv_ibd(
         ebv_telemetry::health::heartbeat("ibd.period.progress");
     }
     Ok(periods)
-}
-
-/// What a sync-driven IBD run did and cost.
-#[derive(Debug)]
-pub struct SyncedIbd {
-    /// Blocks connected (reorg reconnects included).
-    pub blocks_connected: u32,
-    /// Wall-clock time for the whole download, decode and validation
-    /// included — the paper's two-machine measurement, with peer hand-off
-    /// on real threads.
-    pub wall: Duration,
-    /// The driver's accounting: per-peer stats, reorgs, rounds.
-    pub report: SyncReport,
-}
-
-/// Run IBD through the fault-tolerant sync subsystem instead of the
-/// in-process replay loop: blocks arrive serialized over peer channels
-/// from one or more (possibly faulty) peers, and the driver's scoring,
-/// failover and reorg machinery is on the measured path. Works for either
-/// node type via [`ValidatingNode`].
-pub fn synced_ibd<N: ValidatingNode>(
-    node: &mut N,
-    peers: Vec<PeerHandle>,
-    cfg: &SyncConfig,
-) -> Result<SyncedIbd, SyncError<N::Error>> {
-    let wall_start = Stopwatch::start();
-    let report = sync_multi(node, peers, cfg)?;
-    Ok(SyncedIbd {
-        blocks_connected: report.blocks_connected,
-        wall: wall_start.elapsed(),
-        report,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -542,21 +509,6 @@ mod tests {
         assert_eq!(periods[0].end_height, 4);
         assert_eq!(periods[2].end_height, 10);
         assert_eq!(node.tip_height(), 10);
-    }
-
-    #[test]
-    fn synced_ibd_reaches_tip_and_reports() {
-        let chain = empty_chain(8);
-        let mut inter = Intermediary::new(0);
-        let ebv_chain = inter.convert_chain(&chain).unwrap();
-        let tip = ebv_chain.len() as u32 - 1;
-        let mut node = EbvNode::new(&ebv_chain[0], EbvConfig::default());
-        let peers = vec![crate::sync::spawn_source(ebv_chain)];
-        let run = synced_ibd(&mut node, peers, &SyncConfig::default()).unwrap();
-        assert_eq!(run.blocks_connected, tip);
-        assert_eq!(node.tip_height(), tip);
-        assert!(run.wall > Duration::ZERO);
-        assert_eq!(run.report.peers[0].blocks_accepted, tip);
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub use baseline_node::{BaselineConfig, BaselineError, BaselineNode};
 pub use bitvec::{BitVectorSet, BitVectorSetSize, BitVectorSnapshot, BlockBitVector, UvError};
 pub use ebv_node::{EbvConfig, EbvError, EbvNode, SnapshotError};
 pub use ibd::{
-    baseline_ibd, build_checkpoints, ebv_ibd, parallel_ibd, synced_ibd, BaselinePeriod,
-    CheckpointError, EbvPeriod, IbdFailure, IntervalStat, ParallelIbd, ParallelIbdError, SyncedIbd,
+    baseline_ibd, build_checkpoints, ebv_ibd, parallel_ibd, BaselinePeriod, CheckpointError,
+    EbvPeriod, IbdFailure, IntervalStat, ParallelIbd, ParallelIbdError,
 };
 pub use intermediary::{ConvertError, Intermediary};
 pub use mempool::{Mempool, MempoolError};
@@ -50,8 +50,8 @@ pub use pack::{ebv_coinbase, pack_ebv_block};
 pub use proofs::ProofArchive;
 pub use sighash::{sign_input, sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
 pub use sync::{
-    reorg_to, serve_adversary, serve_blocks, spawn_source, sync_baseline, sync_ebv, sync_managed,
-    sync_multi, AdversarialServer, BlockSource, DefensePolicy, Fault, FaultSchedule, FaultyPeer,
+    reorg_to, serve_adversary, serve_blocks, spawn_source, sync_managed, sync_multi,
+    AdversarialServer, BlockSource, DefensePolicy, Fault, FaultSchedule, FaultyPeer,
     InboundDecision, ManagedConfig, ManagedReport, PeerAddr, PeerFactory, PeerHandle, PeerManager,
     PeerManagerConfig, PeerStats, ReorgError, SyncConfig, SyncError, SyncReport, TcpPeer,
     TcpServer, Transport, ValidatingNode, WireAdversary, WireConfig, WireError,

@@ -46,7 +46,9 @@ const PUBKEY_CACHE_SHARDS: usize = 16;
 /// Entries one [`PubkeyCache`] shard holds before it is cleared.
 const PUBKEY_SHARD_CAP: usize = 256;
 
-/// Most entries a [`PubkeyCache`] ever holds: 4,096.
+/// Most entries a [`PubkeyCache`] ever holds: 4,096. A prepared key holds
+/// width-8 tables for `Q` and `φ(Q)`: 2 × 64 entries × 72 B ≈ 9.2 KB, so
+/// the worst case is 4,096 × 128 × 72 B ≈ 38 MB.
 pub const PUBKEY_CACHE_CAP: usize = PUBKEY_CACHE_SHARDS * PUBKEY_SHARD_CAP;
 
 /// Node-lifetime cache of parsed-and-prepared public keys, keyed by the

@@ -217,7 +217,7 @@ impl Transport for PeerHandle {
 }
 
 /// Spawn a serving thread for `source` with peer id 0 — the single-peer
-/// convenience used by the `sync_ebv`/`sync_baseline` wrappers.
+/// convenience for one-peer [`super::sync_multi`] runs.
 pub fn spawn_source<S: BlockSource + 'static>(source: S) -> PeerHandle {
     PeerHandle::spawn(0, source)
 }

@@ -13,10 +13,12 @@
 //!
 //! evaluated as **one** shared GLV-split interleaved-wNAF ladder
 //! ([`multi_scalar_mul`]). Per-item work drops from a full ~130-deep
-//! ladder to a few scalar multiplications, one short wNAF stream for
-//! `Rᵢ`, and a shared-inversion table build; terms under a repeated key
-//! `Q` collapse into a single GLV-split stream with coefficient
-//! `Σ aᵢ·vᵢ`, which is where block workloads (heavy key reuse) win big.
+//! ladder to a few scalar multiplications, the field `sqrt` that lifts
+//! `Rᵢ`, and one short width-2 NAF stream that reads `Rᵢ` itself (no
+//! table); terms under a repeated key `Q` collapse into a single
+//! GLV-split term with coefficient `Σ aᵢ·vᵢ`, served from the key's
+//! cached tables, which is where block workloads (heavy key reuse) win
+//! big.
 //!
 //! The coefficients `aᵢ` are [`COEFF_BITS`]-bit outputs of a
 //! domain-separated SHA-256 PRF seeded by a transcript of the whole batch
@@ -52,7 +54,7 @@ use std::collections::HashMap;
 use super::ecdsa::{self, Signature};
 use super::field::{Fe, P};
 use super::keys::PreparedPublicKey;
-use super::point::{multi_scalar_mul, Affine, MsmTerm, PointTable};
+use super::point::{multi_scalar_mul, Affine, MsmBase, MsmTerm};
 use super::scalar::{Scalar, N};
 use crate::hash::Sha256;
 
@@ -82,8 +84,8 @@ struct Prepared {
     u: Scalar,
     /// `r·s⁻¹` — the item's contribution to its key's coefficient.
     v: Scalar,
-    /// Odd-multiples table of the recovered nonce point `R`.
-    r_table: PointTable,
+    /// The recovered nonce point `R`.
+    r: Affine,
 }
 
 /// Work counters from one [`BatchVerifier::verify`] run, for telemetry.
@@ -128,9 +130,8 @@ impl<'a> BatchVerifier<'a> {
 
     /// Queue one triple for verification.
     pub fn push(&mut self, digest: [u8; 32], sig: Signature, key: &'a PreparedPublicKey) {
-        let encoded = key.public_key().to_compressed();
         let keys = &mut self.keys;
-        let idx = *self.key_index.entry(encoded).or_insert_with(|| {
+        let idx = *self.key_index.entry(*key.encoded()).or_insert_with(|| {
             keys.push(key);
             keys.len() - 1
         });
@@ -169,25 +170,14 @@ impl<'a> BatchVerifier<'a> {
         let s_values: Vec<Scalar> = self.items.iter().map(|i| i.sig.s).collect();
         let s_inverses = batch_invert(&s_values);
 
-        // Recover nonce points, then build all their tables with one
-        // shared field inversion.
-        let r_points: Vec<Option<Affine>> =
-            self.items.iter().map(|i| recover_r(&i.sig.r)).collect();
-        let r_tables = PointTable::batch_new(
-            &r_points
-                .iter()
-                .map(|p| p.unwrap_or(Affine::Infinity))
-                .collect::<Vec<_>>(),
-        );
-
         let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(self.items.len());
         let mut batchable: Vec<usize> = Vec::with_capacity(self.items.len());
         for (i, item) in self.items.iter().enumerate() {
-            let entry = match (&s_inverses[i], &r_points[i]) {
-                (Some(s_inv), Some(_)) if !item.sig.r.is_zero() => Some(Prepared {
+            let entry = match (&s_inverses[i], recover_r(&item.sig.r)) {
+                (Some(s_inv), Some(r)) => Some(Prepared {
                     u: Scalar::from_be_bytes_reduced(&item.digest).mul(s_inv),
                     v: item.sig.r.mul(s_inv),
-                    r_table: r_tables[i].clone(),
+                    r,
                 }),
                 _ => None,
             };
@@ -232,7 +222,7 @@ impl<'a> BatchVerifier<'a> {
             h.update(&item.digest);
             h.update(&item.sig.r.to_be_bytes());
             h.update(&item.sig.s.to_be_bytes());
-            h.update(&self.keys[item.key].public_key().to_compressed());
+            h.update(self.keys[item.key].encoded());
         }
         h.finalize()
     }
@@ -272,8 +262,9 @@ impl<'a> BatchVerifier<'a> {
 
     /// Evaluate `Σ aᵢ·(uᵢ·G + vᵢ·Qᵢ − Rᵢ) = O` over `ids` as one ladder:
     /// a single generator term with coefficient `Σ aᵢ·uᵢ`, one GLV-split
-    /// term per *distinct* key with coefficient `Σ aᵢ·vᵢ`, and one short
-    /// (unsplit, the `aᵢ` are short) negated term per nonce point.
+    /// term per *distinct* key with coefficient `Σ aᵢ·vᵢ` over the key's
+    /// own tables, and one short (unsplit, the `aᵢ` are short) negated
+    /// bare-point term per nonce point.
     fn check_equation(
         &self,
         prepared: &[Option<Prepared>],
@@ -293,7 +284,7 @@ impl<'a> BatchVerifier<'a> {
             key_seen[k] = true;
             terms.push(MsmTerm {
                 scalar: a,
-                table: &p.r_table,
+                base: MsmBase::Point(p.r),
                 negate: true,
             });
         }
@@ -301,7 +292,7 @@ impl<'a> BatchVerifier<'a> {
             if *seen && !key_scalars[k].is_zero() {
                 terms.push(MsmTerm {
                     scalar: key_scalars[k],
-                    table: self.keys[k].table(),
+                    base: MsmBase::Table(self.keys[k].table()),
                     negate: false,
                 });
             }

@@ -48,7 +48,7 @@ fn sub_p(r: &mut [u64; 4]) {
 /// fold 2 re-absorbs the ≤34-bit overflow as `top·C < 2^67`. This sits
 /// under every field multiplication and squaring, so it is written without
 /// loops, sub-calls, or wide compares.
-#[inline]
+#[inline(always)]
 fn reduce512(w: &[u64; 8]) -> Fe {
     let c = C as u128;
     // Fold 1: r = l + h·C.
@@ -183,10 +183,18 @@ impl Fe {
         }
     }
 
+    /// `self·other`. The product, its widening multiply and its reduction
+    /// are inlined into the caller so the 512-bit intermediate stays in
+    /// registers; an out-of-line product passed through memory cost
+    /// ~33 ns per multiply against ~19–22 ns inlined on a dependent chain
+    /// (2-core Xeon VM).
+    #[inline]
     pub fn mul(&self, other: &Fe) -> Fe {
         reduce512(&self.0.widening_mul(&other.0))
     }
 
+    /// `self²`, inlined like [`Fe::mul`].
+    #[inline]
     pub fn square(&self) -> Fe {
         reduce512(&self.0.widening_sqr())
     }

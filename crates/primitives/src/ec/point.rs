@@ -10,10 +10,12 @@
 //!   [`Jacobian::add_jacobian`] formulas. It is kept byte-for-byte stable as
 //!   the differential-testing oracle.
 //! - The **fast path** — [`Affine::mul_gen`] (fixed-base comb over a
-//!   precomputed generator table) and [`lincomb_gen`] (interleaved-wNAF
-//!   Strauss pass over the generator table and a per-key [`PointTable`]),
-//!   built on the cheaper [`Jacobian::dbl`] / [`Jacobian::add_mixed`]
-//!   formulas and [`Jacobian::batch_to_affine`] normalization.
+//!   precomputed generator table) and [`multi_scalar_mul`] (one
+//!   interleaved-wNAF Strauss ladder over the generator tables and each
+//!   term's own [`PointTable`] or bare point, each at its own window
+//!   width; [`lincomb_gen`] is its one-term case), built on the cheaper
+//!   [`Jacobian::dbl`] / [`Jacobian::add_mixed`] formulas and
+//!   [`Jacobian::batch_to_affine`] normalization.
 //!
 //! The fast path is still "honest work" in the paper's sense — Script
 //! Validation cost drives the Fig. 16b/17b breakdowns — it just removes the
@@ -404,19 +406,19 @@ impl Jacobian {
 const COMB_WINDOWS: usize = 64;
 const COMB_TEETH: usize = 15;
 
-/// wNAF window width for the generator half of [`lincomb_gen`]; the table
-/// holds the 64 odd multiples `1·G, 3·G, …, 127·G`.
+/// wNAF window width of the static generator tables: 64 odd multiples
+/// each of `G` and `λ·G` (9.2 KB, built once per process), which hold the
+/// generator's two GLV streams to ~29 mixed additions per ladder. The
+/// same trade-off sets [`PREPARED_KEY_W`].
 const GEN_WNAF_W: u32 = 8;
-const GEN_WNAF_ENTRIES: usize = 1 << (GEN_WNAF_W - 2);
 
 /// Precomputed generator tables, built once per process.
 struct GenTables {
     /// `comb[w][d-1] = d·16^w·G`.
     comb: Vec<[Affine; COMB_TEETH]>,
-    /// Odd multiples `(2i+1)·G` for the wNAF pass.
-    wnaf: [Affine; GEN_WNAF_ENTRIES],
-    /// `φ` applied to `wnaf`: odd multiples of `λ·G`, used by the GLV halves.
-    wnaf_lambda: [Affine; GEN_WNAF_ENTRIES],
+    /// Odd multiples `(2i+1)·G` for the wNAF pass, with the odd multiples
+    /// of `λ·G` stored for the GLV halves.
+    wnaf: PointTable,
 }
 
 static GEN_TABLES: OnceLock<GenTables> = OnceLock::new();
@@ -426,8 +428,9 @@ static GEN_TABLES: OnceLock<GenTables> = OnceLock::new();
 /// everything with a single shared inversion.
 fn gen_tables() -> &'static GenTables {
     GEN_TABLES.get_or_init(|| {
+        let gen_entries = 1 << (GEN_WNAF_W - 2);
         let g = Affine::G.to_jacobian();
-        let mut jac = Vec::with_capacity(COMB_WINDOWS * COMB_TEETH + GEN_WNAF_ENTRIES);
+        let mut jac = Vec::with_capacity(COMB_WINDOWS * COMB_TEETH + gen_entries);
         let mut base = g;
         for _ in 0..COMB_WINDOWS {
             let mut acc = base;
@@ -439,9 +442,10 @@ fn gen_tables() -> &'static GenTables {
         }
         let two_g = g.double();
         let mut odd = g;
-        for _ in 0..GEN_WNAF_ENTRIES {
-            jac.push(odd);
+        jac.push(odd);
+        for _ in 1..gen_entries {
             odd = odd.add_jacobian(&two_g);
+            jac.push(odd);
         }
         let affine = Jacobian::batch_to_affine(&jac);
         let mut comb = Vec::with_capacity(COMB_WINDOWS);
@@ -450,264 +454,226 @@ fn gen_tables() -> &'static GenTables {
             row.copy_from_slice(&affine[w * COMB_TEETH..(w + 1) * COMB_TEETH]);
             comb.push(row);
         }
-        let mut wnaf = [Affine::Infinity; GEN_WNAF_ENTRIES];
-        wnaf.copy_from_slice(&affine[COMB_WINDOWS * COMB_TEETH..]);
-        let beta = &glv::params().beta;
-        let wnaf_lambda = wnaf.map(|e| e.endo(beta));
+        let entries: Box<[Affine]> = affine[COMB_WINDOWS * COMB_TEETH..].into();
         GenTables {
             comb,
-            wnaf,
-            wnaf_lambda,
+            wnaf: PointTable::from_entries(entries),
         }
     })
 }
 
-/// wNAF window width for the variable point in [`lincomb_gen`]; a
-/// [`PointTable`] holds the 8 odd multiples `1·Q, 3·Q, …, 15·Q`.
-pub const POINT_TABLE_W: u32 = 5;
-const POINT_TABLE_ENTRIES: usize = 1 << (POINT_TABLE_W - 2);
+/// Table width for a key used once ([`PointTable::new`], the table of
+/// [`super::ecdsa::verify`]). Such a table must pay for its own build:
+/// `2^(w-2) − 1` full additions (~1.5 mixed additions each; the `φ`-table's
+/// one field multiply per entry is noise beside them) against
+/// ~`2·130/(w+1)` mixed additions on the two GLV-split streams it serves.
+/// That totals ~56 mixed additions at `w = 4`, ~54 at 5 and ~60 at 6, so 5
+/// is cheapest for a single use.
+pub const ONE_SHOT_W: u32 = 5;
 
-/// Precomputed odd multiples of a variable point `Q`, normalized to affine
-/// with one shared inversion. Building one costs a doubling, seven additions
-/// and a batch normalization; it is the per-key state cached by the
-/// verification layer so repeated signers amortize it across a block.
+/// Table width for a prepared key ([`PointTable::prepared`]), the table a
+/// node caches per signer key. Once the build is amortized over many uses
+/// only the ladder cost `2·130/(w+1)` per use counts: ~43 mixed additions
+/// at 5, ~29 at 8, ~26 at 9. Each step past 8 saves under 3 additions per
+/// use while doubling the table (9.2 KB at 8 for `Q` and `φ(Q)`, 18.4 KB at
+/// 9), and a node caches thousands of keys, so 8 — the generator's width —
+/// stops where the returns do.
+pub const PREPARED_KEY_W: u32 = 8;
+
+/// Stream width of an [`MsmBase::Point`] term. A width-2 NAF has digits
+/// `±1` only, so the point itself is its whole table and the term costs no
+/// build at all. The batch verifier's nonce terms carry 64-bit
+/// coefficients: a width-`w` table would save `64/3 − 64/(w+1)` mixed
+/// additions (5.3 at 3, 8.5 at 4) but cost a doubling, `2^(w-2) − 1`
+/// additions and a share of a batch inversion to build, which cancels the
+/// saving; width 2 does the same work with no table code.
+const BARE_POINT_W: u32 = 2;
+
+/// Precomputed odd multiples `1·Q, 3·Q, …, (2^(w-1) − 1)·Q` of a point,
+/// normalized to affine with one shared inversion, together with their
+/// images under the endomorphism `φ` (the odd multiples of `λ·Q`), which
+/// serve the second half of a GLV-split scalar. The number of entries
+/// (`2^(w-2)`) fixes the table's wNAF width `w`.
 #[derive(Clone, Debug)]
 pub struct PointTable {
     /// `entries[i] = (2i+1)·Q`; all infinity iff `Q` is infinity.
-    entries: [Affine; POINT_TABLE_ENTRIES],
+    entries: Box<[Affine]>,
+    /// `lambda[i] = φ(entries[i])`.
+    lambda: Box<[Affine]>,
 }
 
 impl PointTable {
+    /// A width-[`ONE_SHOT_W`] table: the one-shot table of
+    /// [`super::ecdsa::verify`].
     pub fn new(q: &Affine) -> PointTable {
-        if q.is_infinity() {
-            return PointTable {
-                entries: [Affine::Infinity; POINT_TABLE_ENTRIES],
-            };
-        }
-        let qj = q.to_jacobian();
-        let two_q = qj.dbl();
-        let mut jac = Vec::with_capacity(POINT_TABLE_ENTRIES);
-        let mut acc = qj;
-        for _ in 0..POINT_TABLE_ENTRIES {
-            jac.push(acc);
+        PointTable::from_entries(odd_multiples(q, ONE_SHOT_W))
+    }
+
+    /// A width-[`PREPARED_KEY_W`] table: the table of a prepared key, built
+    /// once and reused for every signature under it.
+    pub fn prepared(q: &Affine) -> PointTable {
+        PointTable::from_entries(odd_multiples(q, PREPARED_KEY_W))
+    }
+
+    fn from_entries(entries: Box<[Affine]>) -> PointTable {
+        let beta = &glv::params().beta;
+        let lambda = entries.iter().map(|e| e.endo(beta)).collect();
+        PointTable { entries, lambda }
+    }
+
+    /// The wNAF window width this table serves.
+    pub(crate) fn width(&self) -> u32 {
+        self.entries.len().trailing_zeros() + 2
+    }
+}
+
+/// `(2i+1)·Q` for `i < 2^(w-2)`: one doubling and exactly `2^(w-2) − 1`
+/// additions (none at all for width 2, whose table is `Q` itself), then
+/// one shared inversion. `Q` is already affine, so it is not normalized.
+fn odd_multiples(q: &Affine, w: u32) -> Box<[Affine]> {
+    let count = 1usize << (w - 2);
+    if q.is_infinity() {
+        return vec![Affine::Infinity; count].into();
+    }
+    let mut jac = Vec::with_capacity(count - 1);
+    if count > 1 {
+        let two_q = q.to_jacobian().dbl();
+        let mut acc = q.to_jacobian();
+        for _ in 1..count {
             acc = acc.add_jacobian(&two_q);
+            jac.push(acc);
         }
-        let affine = Jacobian::batch_to_affine(&jac);
-        let mut entries = [Affine::Infinity; POINT_TABLE_ENTRIES];
-        entries.copy_from_slice(&affine);
-        PointTable { entries }
+    }
+    let mut entries = Vec::with_capacity(count);
+    entries.push(*q);
+    entries.extend(Jacobian::batch_to_affine(&jac));
+    entries.into()
+}
+
+/// `u1·G + u2·Q`: the one-term case of [`multi_scalar_mul`], and the ECDSA
+/// verification ladder. This replaces [`Jacobian::shamir_mul`] on the
+/// verification hot path.
+pub fn lincomb_gen(u1: &Scalar, q_table: &PointTable, u2: &Scalar) -> Jacobian {
+    multi_scalar_mul(
+        u1,
+        &[MsmTerm {
+            scalar: *u2,
+            base: MsmBase::Table(q_table),
+            negate: false,
+        }],
+    )
+}
+
+/// The point side of one [`MsmTerm`].
+#[derive(Clone, Copy, Debug)]
+pub enum MsmBase<'a> {
+    /// A bare affine point, read as one unsplit width-2 stream
+    /// (`BARE_POINT_W`): no table to build. Meant for short scalars; a
+    /// full-width one is still correct, at ~85 mixed additions.
+    Point(Affine),
+    /// A [`PointTable`]: the scalar is GLV-split into two streams at the
+    /// table's width, the second reading the stored `φ`-table.
+    Table(&'a PointTable),
+}
+
+/// One variable-point term of [`multi_scalar_mul`]: contributes
+/// `±scalar·Q` where `Q` is the point `base` stands for (`negate` selects
+/// the sign without touching any table).
+#[derive(Clone, Copy, Debug)]
+pub struct MsmTerm<'a> {
+    pub scalar: Scalar,
+    pub base: MsmBase<'a>,
+    pub negate: bool,
+}
+
+/// One signed-digit stream of the shared ladder: `digits` index the odd
+/// multiples in `entries`, negated when `neg` is set.
+struct Stream<'t> {
+    digits: Vec<i32>,
+    entries: &'t [Affine],
+    neg: bool,
+}
+
+impl<'t> Stream<'t> {
+    fn new(scalar: &Scalar, width: u32, entries: &'t [Affine], neg: bool) -> Stream<'t> {
+        debug_assert_eq!(
+            entries.len(),
+            1 << (width - 2),
+            "table does not match width"
+        );
+        Stream {
+            digits: scalar.wnaf(width),
+            entries,
+            neg,
+        }
     }
 
-    /// Tables for many points with **one** shared field inversion across
-    /// all of them, instead of one per [`PointTable::new`] call. The batch
-    /// verifier builds a table per recovered nonce point `Rᵢ`, so per-table
-    /// inversions would dominate its setup cost.
-    pub fn batch_new(points: &[Affine]) -> Vec<PointTable> {
-        let mut jac = Vec::with_capacity(points.len() * POINT_TABLE_ENTRIES);
-        for q in points {
-            if q.is_infinity() {
-                jac.extend([Jacobian::infinity(); POINT_TABLE_ENTRIES]);
-                continue;
-            }
-            let qj = q.to_jacobian();
-            let two_q = qj.dbl();
-            let mut acc = qj;
-            for _ in 0..POINT_TABLE_ENTRIES {
-                jac.push(acc);
-                acc = acc.add_jacobian(&two_q);
-            }
-        }
-        let affine = Jacobian::batch_to_affine(&jac);
-        affine
-            .chunks_exact(POINT_TABLE_ENTRIES)
-            .map(|chunk| {
-                let mut entries = [Affine::Infinity; POINT_TABLE_ENTRIES];
-                entries.copy_from_slice(chunk);
-                PointTable { entries }
-            })
-            .collect()
-    }
-
-    /// Look up a wNAF digit: `d` must be odd with `|d| < 2^(w-1)`; negative
-    /// digits return the negated table entry.
+    /// The table entry for digit `d` (odd, `|d| < 2^(w-1)`), with the
+    /// stream's sign applied.
     fn get(&self, d: i32) -> Affine {
-        debug_assert!(d != 0 && d % 2 != 0 && d.unsigned_abs() < (1 << (POINT_TABLE_W - 1)));
         let e = self.entries[(d.unsigned_abs() as usize - 1) / 2];
-        if d < 0 {
+        if (d < 0) != self.neg {
             e.neg()
         } else {
             e
         }
     }
-
-    /// The table for `λ·Q`, by applying the endomorphism entrywise: eight
-    /// field multiplications, against rebuilding a table from scratch
-    /// (a doubling, seven full additions and a batch inversion).
-    fn endo(&self, beta: &Fe) -> PointTable {
-        PointTable {
-            entries: self.entries.map(|e| e.endo(beta)),
-        }
-    }
 }
 
-/// `u1·G + u2·Q` by a GLV-split interleaved-wNAF Strauss pass. Both scalars
-/// are decomposed as `k₁ + λ·k₂` with ~128-bit halves ([`glv`]), so the
-/// shared doubling ladder is ~130 long instead of 256 — doublings dominate
-/// this function, and GLV halves them for the price of two splits and an
-/// entrywise endomorphism on each table. The generator halves (width 8) are
-/// served from the static `G`/`λG` tables, the `Q` halves (width 5) from
-/// `q_table` and its endomorphism image. Nonzero digits are sparse and every
-/// addition is mixed (affine table entries). This replaces
-/// [`Jacobian::shamir_mul`] on the ECDSA verification hot path.
-pub fn lincomb_gen(u1: &Scalar, q_table: &PointTable, u2: &Scalar) -> Jacobian {
-    let t = gen_tables();
-    let glv = glv::params();
-    let (g_lo, g_hi) = glv.split(u1);
-    let (q_lo, q_hi) = glv.split(u2);
-    let q_lambda = q_table.endo(&glv.beta);
-
-    let gen_table = |entries: &'static [Affine; GEN_WNAF_ENTRIES]| PointTableRef::Gen(entries);
-    let streams = [
-        (g_lo, gen_table(&t.wnaf), GEN_WNAF_W),
-        (g_hi, gen_table(&t.wnaf_lambda), GEN_WNAF_W),
-        (q_lo, PointTableRef::Var(q_table), POINT_TABLE_W),
-        (q_hi, PointTableRef::Var(&q_lambda), POINT_TABLE_W),
-    ];
-    let streams: Vec<(Vec<i32>, PointTableRef, bool)> = streams
-        .into_iter()
-        .map(|(half, table, w)| (half.mag.wnaf(w), table, half.neg))
-        .collect();
-
-    let len = streams.iter().map(|(d, _, _)| d.len()).max().unwrap_or(0);
-    let mut acc = Jacobian::infinity();
-    for i in (0..len).rev() {
-        acc = acc.dbl();
-        for (digits, table, neg) in &streams {
-            if let Some(&d) = digits.get(i) {
-                if d != 0 {
-                    acc = acc.add_mixed(&table.get(if *neg { -d } else { d }));
-                }
-            }
-        }
-    }
-    acc
+/// The two GLV half-scalar streams of `±k·Q` over `Q`'s table: the low
+/// half over the entries, the high half over the stored `φ`-table.
+fn split_streams<'t>(table: &'t PointTable, k: &Scalar, negate: bool) -> [Stream<'t>; 2] {
+    let (lo, hi) = glv::params().split(k);
+    let w = table.width();
+    [
+        Stream::new(&lo.mag, w, &table.entries, lo.neg ^ negate),
+        Stream::new(&hi.mag, w, &table.lambda, hi.neg ^ negate),
+    ]
 }
-
-/// One variable-point term of [`multi_scalar_mul`]: contributes
-/// `±scalar·Q` where `Q` is the point `table` was built from (`negate`
-/// selects the sign without touching the table).
-pub struct MsmTerm<'a> {
-    pub scalar: Scalar,
-    pub table: &'a PointTable,
-    pub negate: bool,
-}
-
-/// Scalars at or below this bit length skip the GLV split in
-/// [`multi_scalar_mul`]: a split buys nothing once the scalar is already
-/// ~half-width (the batch verifier's random coefficients are 128-bit by
-/// construction), and skipping it halves that term's stream count. The
-/// slack above 128 covers wNAF round-up.
-const MSM_SPLIT_BITS: usize = 132;
 
 /// `gen_scalar·G + Σᵢ ±scalarᵢ·Qᵢ` as one shared interleaved-wNAF Strauss
-/// ladder — the n-term generalization of [`lincomb_gen`], and the engine
-/// under batch ECDSA verification (`ec::batch`).
+/// ladder — the engine under ECDSA verification ([`lincomb_gen`]) and
+/// batch verification (`ec::batch`).
 ///
-/// The generator term always takes the GLV split and is served from the
-/// static width-8 `G`/`λG` tables. Each variable term brings its own
-/// [`PointTable`]; full-width scalars are GLV-split (two width-5 streams,
-/// the `λ` stream from an entrywise endomorphism of the table), while
-/// short scalars ride a single unsplit stream. All streams share one
-/// doubling ladder, so doublings — the dominant cost — are paid once for
-/// the whole sum instead of once per term.
+/// The generator and every [`MsmBase::Table`] term take the GLV split:
+/// two streams at the table's width, over its entries and its stored
+/// `φ`-table (the generator's are the static width-8 `G`/`λG` tables). A
+/// [`MsmBase::Point`] term rides one unsplit width-2 stream. All streams
+/// share one doubling ladder, so doublings — the dominant cost — are paid
+/// once for the whole sum instead of once per term.
 pub fn multi_scalar_mul(gen_scalar: &Scalar, terms: &[MsmTerm<'_>]) -> Jacobian {
-    let t = gen_tables();
-    let glv = glv::params();
-    let (g_lo, g_hi) = glv.split(gen_scalar);
-
-    // Endomorphism images for the split terms, materialized before the
-    // stream list so the streams can borrow them.
-    let split: Vec<bool> = terms
-        .iter()
-        .map(|term| term.scalar.0.bits() > MSM_SPLIT_BITS)
-        .collect();
-    let endo_tables: Vec<Option<PointTable>> = terms
-        .iter()
-        .zip(&split)
-        .map(|(term, &s)| s.then(|| term.table.endo(&glv.beta)))
-        .collect();
-
-    let mut streams: Vec<(Vec<i32>, PointTableRef<'_>, bool)> =
-        Vec::with_capacity(2 + 2 * terms.len());
-    streams.push((
-        g_lo.mag.wnaf(GEN_WNAF_W),
-        PointTableRef::Gen(&t.wnaf),
-        g_lo.neg,
-    ));
-    streams.push((
-        g_hi.mag.wnaf(GEN_WNAF_W),
-        PointTableRef::Gen(&t.wnaf_lambda),
-        g_hi.neg,
-    ));
-    for ((term, &split_term), endo_table) in terms.iter().zip(&split).zip(&endo_tables) {
-        if split_term {
-            let (lo, hi) = glv.split(&term.scalar);
-            streams.push((
-                lo.mag.wnaf(POINT_TABLE_W),
-                PointTableRef::Var(term.table),
-                lo.neg ^ term.negate,
-            ));
-            streams.push((
-                hi.mag.wnaf(POINT_TABLE_W),
-                PointTableRef::Var(endo_table.as_ref().expect("built for split terms")),
-                hi.neg ^ term.negate,
-            ));
-        } else {
-            streams.push((
-                term.scalar.wnaf(POINT_TABLE_W),
-                PointTableRef::Var(term.table),
+    let mut streams: Vec<Stream<'_>> = Vec::with_capacity(2 + 2 * terms.len());
+    streams.extend(split_streams(&gen_tables().wnaf, gen_scalar, false));
+    for term in terms {
+        match &term.base {
+            MsmBase::Table(table) => {
+                streams.extend(split_streams(table, &term.scalar, term.negate));
+            }
+            MsmBase::Point(p) => streams.push(Stream::new(
+                &term.scalar,
+                BARE_POINT_W,
+                std::slice::from_ref(p),
                 term.negate,
-            ));
+            )),
         }
     }
 
-    let len = streams.iter().map(|(d, _, _)| d.len()).max().unwrap_or(0);
+    // Longest streams first: at digit position `i` only the prefix of
+    // streams longer than `i` can add, so the short nonce streams cost
+    // nothing in the top half of the ladder.
+    streams.sort_unstable_by_key(|s| std::cmp::Reverse(s.digits.len()));
+    let len = streams.first().map_or(0, |s| s.digits.len());
     let mut acc = Jacobian::infinity();
     for i in (0..len).rev() {
         acc = acc.dbl();
-        for (digits, table, neg) in &streams {
-            if let Some(&d) = digits.get(i) {
-                if d != 0 {
-                    acc = acc.add_mixed(&table.get(if *neg { -d } else { d }));
-                }
+        for stream in streams.iter().take_while(|s| s.digits.len() > i) {
+            let d = stream.digits[i];
+            if d != 0 {
+                acc = acc.add_mixed(&stream.get(d));
             }
         }
     }
     acc
-}
-
-/// Either the static generator wNAF tables (width 8) or a per-point
-/// [`PointTable`] (width 5); unifies digit lookup across the four streams.
-enum PointTableRef<'a> {
-    Gen(&'static [Affine; GEN_WNAF_ENTRIES]),
-    Var(&'a PointTable),
-}
-
-impl PointTableRef<'_> {
-    fn get(&self, d: i32) -> Affine {
-        match self {
-            PointTableRef::Gen(entries) => {
-                debug_assert!(d != 0 && d % 2 != 0 && d.unsigned_abs() < (1 << (GEN_WNAF_W - 1)));
-                let e = entries[(d.unsigned_abs() as usize - 1) / 2];
-                if d < 0 {
-                    e.neg()
-                } else {
-                    e
-                }
-            }
-            PointTableRef::Var(t) => t.get(d),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -926,20 +892,31 @@ mod tests {
     }
 
     #[test]
-    fn batch_new_matches_individual_tables() {
-        let g = Affine::G.to_jacobian();
-        let points: Vec<Affine> = vec![
-            Affine::G,
-            g.mul(&scalar(7)).to_affine(),
-            Affine::Infinity,
-            g.mul(&scalar(0xdead_beef)).to_affine(),
-        ];
-        let tables = PointTable::batch_new(&points);
-        assert_eq!(tables.len(), points.len());
-        for (t, p) in tables.iter().zip(&points) {
-            assert_eq!(t.entries, PointTable::new(p).entries);
+    fn tables_hold_odd_multiples_at_every_width() {
+        let q = Affine::G.mul(&scalar(0x5eed));
+        for w in 2..=8u32 {
+            let entries = odd_multiples(&q, w);
+            assert_eq!(entries.len(), 1 << (w - 2));
+            for (i, e) in entries.iter().enumerate() {
+                assert_eq!(*e, q.mul(&scalar(2 * i as u64 + 1)), "w = {w}, i = {i}");
+            }
         }
-        assert!(PointTable::batch_new(&[]).is_empty());
+        let lambda_q = q.endo(&glv::params().beta);
+        for (table, w) in [
+            (PointTable::new(&q), ONE_SHOT_W),
+            (PointTable::prepared(&q), PREPARED_KEY_W),
+        ] {
+            assert_eq!(table.width(), w);
+            assert_eq!(table.lambda.len(), table.entries.len());
+            for (i, e) in table.lambda.iter().enumerate() {
+                assert_eq!(
+                    *e,
+                    lambda_q.mul(&scalar(2 * i as u64 + 1)),
+                    "w = {w}, i = {i}"
+                );
+            }
+        }
+        assert_eq!(gen_tables().wnaf.width(), GEN_WNAF_W);
     }
 
     #[test]
@@ -953,8 +930,8 @@ mod tests {
             .map(|&v| g.mul(&scalar(v)).to_affine())
             .collect();
         let tables: Vec<PointTable> = points.iter().map(PointTable::new).collect();
-        // Mix short (unsplit) and full-width (GLV-split) scalars, plus
-        // negated terms, and check against the reference ladder sum.
+        // Mix short and full-width scalars, plus negated terms, and check
+        // against the reference ladder sum.
         let cases: Vec<(Scalar, Vec<(Scalar, bool)>)> = vec![
             (scalar(5), vec![(scalar(7), false)]),
             (Scalar::ZERO, vec![(n_minus_1, false), (scalar(123), true)]),
@@ -973,7 +950,7 @@ mod tests {
                 .zip(&tables)
                 .map(|(&(scalar, negate), table)| MsmTerm {
                     scalar,
-                    table,
+                    base: MsmBase::Table(table),
                     negate,
                 })
                 .collect();
@@ -1003,7 +980,7 @@ mod tests {
         let table = PointTable::new(&p);
         let terms = [MsmTerm {
             scalar: Scalar::ONE,
-            table: &table,
+            base: MsmBase::Table(&table),
             negate: true,
         }];
         assert!(multi_scalar_mul(&k, &terms).is_infinity());

@@ -181,38 +181,54 @@ impl Scalar {
     /// Width-`w` non-adjacent form: signed digits, least significant first,
     /// each either zero or odd with `|d| < 2^(w-1)`, and any two nonzero
     /// digits separated by at least `w - 1` zeros. Reconstruction:
-    /// `self = Σ digits[i]·2^i`. The sparse signed digits are what let the
-    /// Strauss pass in [`super::point::lincomb_gen`] skip ~`w/(w+1)` of the
-    /// additions a plain double-and-add ladder performs.
+    /// `self = Σ digits[i]·2^i`; the string ends at the top nonzero digit.
+    /// The sparse signed digits are what let the Strauss pass in
+    /// [`super::point::multi_scalar_mul`] skip ~`w/(w+1)` of the additions a
+    /// plain double-and-add ladder performs.
+    ///
+    /// Recoded a window at a time, libsecp256k1 `ecmult_wnaf` style: a
+    /// zero digit costs one bit test, and a nonzero digit reads its whole
+    /// `w`-bit window from the limbs at once and jumps past it, keeping the
+    /// window's round-up as a one-bit carry instead of adding it back into
+    /// the 256-bit value. The output is the canonical wNAF, identical to
+    /// the bit-serial recoding (one 256-bit add/sub and shift per bit) that
+    /// `tests/ec_differential.rs` keeps as its oracle.
     pub fn wnaf(&self, w: u32) -> Vec<i32> {
         debug_assert!((2..=16).contains(&w), "window width out of range");
-        let mut k = self.0;
-        // n < 2^256 and each round-up adds < 2^(w-1), so k never overflows;
-        // the digit string can still be one longer than k's bit length.
-        let mut digits = Vec::with_capacity(self.0.bits() + 1);
-        let window = 1u64 << w;
-        let sign_bound = 1i64 << (w - 1);
-        while !k.is_zero() {
-            if k.limbs[0] & 1 == 1 {
-                let low = (k.limbs[0] & (window - 1)) as i64;
-                let d = if low >= sign_bound {
-                    low - window as i64
-                } else {
-                    low
-                };
-                digits.push(d as i32);
-                if d >= 0 {
-                    k = k.overflowing_sub(&U256::from_u64(d as u64)).0;
-                } else {
-                    let (sum, carry) = k.overflowing_add(&U256::from_u64(d.unsigned_abs()));
-                    debug_assert!(!carry, "wNAF round-up cannot overflow 256 bits");
-                    k = sum;
-                }
-            } else {
-                digits.push(0);
+        let limbs = &self.0.limbs;
+        let bits = self.0.bits();
+        // `w` bits of the scalar starting at bit `pos`, zero above bit 255.
+        let window = |pos: usize| -> u32 {
+            let (limb, shift) = (pos / 64, pos % 64);
+            let mut v = limbs.get(limb).map_or(0, |l| l >> shift);
+            if shift + w as usize > 64 {
+                v |= limbs.get(limb + 1).map_or(0, |l| l << (64 - shift));
             }
-            k = k.shr1();
+            (v & ((1u64 << w) - 1)) as u32
+        };
+        // The round-up of the top window can carry one digit past `bits`.
+        let mut digits = vec![0i32; bits + 1];
+        let mut len = 0;
+        let mut carry = 0u32;
+        let mut pos = 0;
+        while pos < bits {
+            if (limbs[pos / 64] >> (pos % 64)) as u32 & 1 == carry {
+                pos += 1;
+                continue;
+            }
+            let word = window(pos) + carry;
+            carry = (word >> (w - 1)) & 1;
+            digits[pos] = word as i32 - ((carry << w) as i32);
+            len = pos + 1;
+            pos += w as usize;
         }
+        if carry == 1 {
+            // Only a negative top digit leaves a carry, and that digit's
+            // window reaches the top bit: `pos <= bits`.
+            digits[pos] = 1;
+            len = pos + 1;
+        }
+        digits.truncate(len);
         digits
     }
 }

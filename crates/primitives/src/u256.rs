@@ -103,6 +103,11 @@ impl U256 {
     /// obvious `out[i + j]` loop (the array round-trips through memory).
     /// Every `lo + aᵢ·bⱼ + carry` sum fits in `u128`:
     /// (2⁶⁴−1) + (2⁶⁴−1)² + (2⁶⁴−1) = 2¹²⁸ − 1.
+    ///
+    /// Always inlined: out of line, the 512-bit product is returned through
+    /// memory, and that round trip costs about as much as the arithmetic
+    /// (see [`crate::ec::field::Fe::mul`]).
+    #[inline(always)]
     pub fn widening_mul(&self, other: &U256) -> [u64; 8] {
         let [a0, a1, a2, a3] = self.limbs;
         let [b0, b1, b2, b3] = other.limbs;
@@ -159,7 +164,9 @@ impl U256 {
     /// `self²` as a 512-bit product. Same result as `widening_mul(self)`
     /// but computes each cross product `aᵢ·aⱼ` (i ≠ j) once and doubles the
     /// sum, so squaring costs ~10 limb products instead of 16 — squarings
-    /// dominate the point-doubling ladder, so this matters.
+    /// dominate the point-doubling ladder, so this matters. Always inlined,
+    /// like [`U256::widening_mul`].
+    #[inline(always)]
     pub fn widening_sqr(&self) -> [u64; 8] {
         let [a0, a1, a2, a3] = self.limbs;
         let (a0, a1, a2, a3) = (a0 as u128, a1 as u128, a2 as u128, a3 as u128);

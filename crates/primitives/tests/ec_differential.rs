@@ -1,18 +1,22 @@
-//! Differential tests: the EC fast path (comb/wNAF tables, batch
-//! normalization, eGCD inversion, projective x-comparison) against the
-//! reference double-and-add ladder that predates it.
+//! Differential tests: the EC fast path (comb/wNAF tables, windowed wNAF
+//! recoding, the width-generic multi-scalar ladder, batch normalization,
+//! eGCD inversion, projective x-comparison) against the reference
+//! double-and-add ladder that predates it.
 //!
 //! The reference implementations (`Jacobian::mul`, `Jacobian::shamir_mul`,
-//! `ecdsa::verify_reference`, `Fe::invert_fermat`, `Scalar::invert_fermat`)
-//! are kept byte-for-byte stable precisely so these tests pin the fast path
-//! to known-good behavior over adversarial scalar shapes: zero, one, powers
-//! of two straddling limb boundaries, the group order's neighborhood, and a
-//! deterministic pseudo-random sweep.
+//! `ecdsa::verify_reference`, `Fe::invert_fermat`, `Scalar::invert_fermat`,
+//! and the bit-serial wNAF below) are kept byte-for-byte stable precisely
+//! so these tests pin the fast path to known-good behavior over
+//! adversarial scalar shapes: zero, one, powers of two straddling limb
+//! boundaries, the group order's neighborhood, and a deterministic
+//! pseudo-random sweep.
 
 use ebv_primitives::ec::ecdsa::{self, Signature};
 use ebv_primitives::ec::field::Fe;
 use ebv_primitives::ec::keys::{PrivateKey, PublicKey};
-use ebv_primitives::ec::point::{lincomb_gen, Affine, Jacobian, PointTable};
+use ebv_primitives::ec::point::{
+    lincomb_gen, multi_scalar_mul, Affine, Jacobian, MsmBase, MsmTerm, PointTable,
+};
 use ebv_primitives::ec::scalar::{Scalar, HALF_N, N};
 use ebv_primitives::hash::sha256;
 use ebv_primitives::u256::U256;
@@ -120,6 +124,54 @@ fn lincomb_matches_separate_muls_over_sweep() {
     }
 }
 
+/// The bit-serial wNAF recoding `Scalar::wnaf` replaced: one 256-bit
+/// add or subtract and shift per bit. The canonical wNAF is unique, so the
+/// windowed recoding must match it digit for digit.
+fn wnaf_bit_serial(k: &Scalar, w: u32) -> Vec<i32> {
+    let mut k = k.0;
+    let mut digits = Vec::with_capacity(k.bits() + 1);
+    let window = 1u64 << w;
+    let sign_bound = 1i64 << (w - 1);
+    while !k.is_zero() {
+        if k.limbs[0] & 1 == 1 {
+            let low = (k.limbs[0] & (window - 1)) as i64;
+            let d = if low >= sign_bound {
+                low - window as i64
+            } else {
+                low
+            };
+            digits.push(d as i32);
+            if d >= 0 {
+                k = k.overflowing_sub(&U256::from_u64(d as u64)).0;
+            } else {
+                let (sum, carry) = k.overflowing_add(&U256::from_u64(d.unsigned_abs()));
+                assert!(!carry, "wNAF round-up cannot overflow 256 bits");
+                k = sum;
+            }
+        } else {
+            digits.push(0);
+        }
+        k = k.shr1();
+    }
+    digits
+}
+
+#[test]
+fn wnaf_matches_bit_serial_oracle() {
+    // Edge scalars, full-width sweep values, and 64-bit values (the batch
+    // verifier's coefficient width) with carries at every window position.
+    let mut scalars = edge_scalars();
+    scalars.extend(sweep_scalars(b"wnaf sweep", 64));
+    for k in sweep_scalars(b"wnaf short", 64) {
+        scalars.push(Scalar::from_u64(k.0.limbs[0]));
+    }
+    for k in &scalars {
+        for w in 2..=8u32 {
+            assert_eq!(k.wnaf(w), wnaf_bit_serial(k, w), "wnaf({w}) of {k:?}");
+        }
+    }
+}
+
 #[test]
 fn wnaf_reconstructs_edge_scalars_at_all_widths() {
     for k in edge_scalars() {
@@ -143,6 +195,92 @@ fn wnaf_reconstructs_edge_scalars_at_all_widths() {
             }
             assert_eq!(acc, k, "wnaf({w}) reconstruction of {k:?}");
         }
+    }
+}
+
+#[test]
+fn msm_matches_reference_over_mixed_bases() {
+    // Term sets mixing one-shot width-5 tables, prepared width-8 tables
+    // and bare width-2 points (the batch verifier's nonce terms), each
+    // negated or not, with zero, short (64-bit), edge and full-width
+    // scalars, against a sum of reference double-and-add multiplications.
+    let g = Affine::G;
+    let edges = edge_scalars();
+    let mut rng = sweep_scalars(b"msm mix", 4096).into_iter();
+    let mut next = move || rng.next().expect("enough draws").0.limbs[0];
+    let points: Vec<Affine> = sweep_scalars(b"msm points", 6)
+        .iter()
+        .map(|k| g.mul(k))
+        .chain([Affine::Infinity])
+        .collect();
+    let one_shot: Vec<PointTable> = points.iter().map(PointTable::new).collect();
+    let prepared: Vec<PointTable> = points.iter().map(PointTable::prepared).collect();
+    let full = sweep_scalars(b"msm scalars", 64);
+    for set in 0..40 {
+        let gen_scalar = match set % 4 {
+            0 => Scalar::ZERO,
+            1 => Scalar::from_u64(next()),
+            2 => edges[next() as usize % edges.len()],
+            _ => full[next() as usize % full.len()],
+        };
+        let count = 1 + next() as usize % 7;
+        let mut terms = Vec::with_capacity(count + 1);
+        let mut expected = g.mul(&gen_scalar);
+        for _ in 0..count {
+            let p = next() as usize % points.len();
+            let kind = next() % 3;
+            let scalar = match next() % 4 {
+                0 => Scalar::ZERO,
+                1 => Scalar::from_u64(next()),
+                2 => edges[next() as usize % edges.len()],
+                _ => full[next() as usize % full.len()],
+            };
+            let negate = next() % 2 == 1;
+            let base = match kind {
+                0 => MsmBase::Table(&one_shot[p]),
+                1 => MsmBase::Table(&prepared[p]),
+                _ => MsmBase::Point(points[p]),
+            };
+            terms.push(MsmTerm {
+                scalar,
+                base,
+                negate,
+            });
+            let part = points[p].mul(&scalar);
+            expected = expected.add(&if negate { part.neg() } else { part });
+        }
+        assert_eq!(
+            multi_scalar_mul(&gen_scalar, &terms).to_affine(),
+            expected,
+            "set {set}: {terms:?}"
+        );
+        // Cancelling the sum with one more bare term lands exactly on
+        // infinity — the batch verifier's accept condition.
+        terms.push(MsmTerm {
+            scalar: Scalar::ONE,
+            base: MsmBase::Point(expected),
+            negate: true,
+        });
+        assert!(
+            multi_scalar_mul(&gen_scalar, &terms).is_infinity(),
+            "set {set}"
+        );
+    }
+}
+
+#[test]
+fn lincomb_prepared_matches_one_shot_over_edge_scalars() {
+    let q = Affine::G.mul(&Scalar::from_u64(0xfeed));
+    let one_shot = PointTable::new(&q);
+    let prepared = PointTable::prepared(&q);
+    let edges = edge_scalars();
+    for (i, u1) in edges.iter().enumerate() {
+        let u2 = &edges[(i + 5) % edges.len()];
+        assert_eq!(
+            lincomb_gen(u1, &prepared, u2).to_affine(),
+            lincomb_gen(u1, &one_shot, u2).to_affine(),
+            "u1 = {u1:?}, u2 = {u2:?}"
+        );
     }
 }
 

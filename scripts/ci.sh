@@ -132,6 +132,18 @@ cargo test -q -p ebv-primitives --lib hash::sha256
 echo "==> cargo test -p ebv-primitives --test batch_verify (batch ECDSA differential)"
 cargo test -q -p ebv-primitives --test batch_verify
 
+# The EC fast path against the reference ladder: comb and wNAF tables at
+# every width, the windowed wNAF against the bit-serial oracle, and the
+# multi-scalar ladder over mixed one-shot-table, prepared-table and
+# bare-point terms. The root-package 'cargo test' does not reach this crate.
+echo "==> cargo test -p ebv-primitives --test ec_differential (EC fast path vs reference)"
+cargo test -q -p ebv-primitives --test ec_differential
+
+# The node-lifetime pubkey cache (entry bound, verdicts equal to the
+# uncached checker) and the batched-SV chunk rule.
+echo "==> cargo test -p ebv-core --lib sighash (pubkey cache + batched SV chunk)"
+cargo test -q -p ebv-core --lib sighash
+
 echo "==> cargo test --test batch_pipeline (node batch-on/off tamper differential)"
 cargo test -q --test batch_pipeline
 
